@@ -9,6 +9,7 @@ All clocks are monotonic wall time.
 import csv
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -95,20 +96,55 @@ def build_problem(cfg: CaseConfig, level: int | None = None) -> Problem:
                    index=index, sigma_fields=sigma_fields, g=g)
 
 
-def exact_local_ops(problem: Problem, workers: int = 1, f=None) -> list:
-    """Exact local-solver creation for every element (optionally threaded)."""
+#: environment variables that set the BLAS thread pool, in the order OpenBLAS reads them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def default_workers() -> int:
+    """Element workers that never oversubscribe: usable cores / BLAS threads.
+
+    The BLAS thread count comes from the first of BLAS_THREAD_VARS that is
+    set. When none is set (or it does not parse), BLAS owns every core and
+    the default is 1 worker.
+    """
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value:
+            break
+    else:
+        return 1
+    try:
+        blas_threads = int(value)
+    except ValueError:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without affinity masks
+        cores = os.cpu_count() or 1
+    return max(1, cores // max(blas_threads, 1))
+
+
+def exact_local_ops(problem: Problem, workers: int | None = None, f=None) -> list:
+    """Exact local-solver creation for every element.
+
+    The elements are split into `workers` contiguous blocks, each solved on
+    its own thread (the dense kernels release the interpreter lock);
+    workers=None takes `default_workers()`.
+    """
     mesh, grid, kernel = problem.mesh, problem.grid, problem.kernel
     h = (mesh.hx, mesh.hy)
+    workers = default_workers() if workers is None else workers
 
-    def solve_one(e):
-        fe = None if f is None else f[e]
-        return solve_element(problem.sigma_fields[e], grid, kernel, h,
-                             f=fe, element_index=e)
+    def solve_block(block):
+        return [solve_element(problem.sigma_fields[e], grid, kernel, h,
+                              f=None if f is None else f[e], element_index=int(e))
+                for e in block]
 
-    if workers <= 1:
-        return [solve_one(e) for e in range(mesh.n_elems)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(solve_one, range(mesh.n_elems)))
+    blocks = np.array_split(np.arange(mesh.n_elems), max(1, min(workers, mesh.n_elems)))
+    if len(blocks) == 1:
+        return solve_block(blocks[0])
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        return [ops for part in pool.map(solve_block, blocks) for ops in part]
 
 
 def surrogate_local_ops(problem: Problem, model: MlpModel) -> list:
@@ -126,11 +162,15 @@ def surrogate_local_ops(problem: Problem, model: MlpModel) -> list:
 
 def run_case(cfg: CaseConfig, method: str, level: int | None = None,
              model: MlpModel | None = None, tol: float | None = None,
-             workers: int = 1, reference: ElementNodalField | None = None):
-    """Run one method on one refinement level; returns (RunReport, mean field)."""
+             workers: int | None = None, reference: ElementNodalField | None = None):
+    """Run one method on one refinement level; returns (RunReport, mean field).
+
+    workers=None takes `default_workers()`; only exact hdg uses them.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     problem = build_problem(cfg, level)
+    workers = default_workers() if workers is None else workers
     tol = cfg.tol if tol is None else tol
     report = RunReport(method=method, level=problem.level,
                        dofs=problem.volume_dofs, hybrid_dofs=problem.index.n_dofs,
@@ -144,9 +184,9 @@ def run_case(cfg: CaseConfig, method: str, level: int | None = None,
         report.meta["model_fingerprint"] = model_fingerprint(model)
 
     if method == "dg":
+        t0 = time.perf_counter()
         system = dg_mod.assemble_dg(problem.mesh, problem.grid, problem.kernel,
                                     problem.sigma_fields, cfg.p, g=problem.g)
-        t0 = time.perf_counter()
         u, info = dg_mod.solve_dg(system, tol=tol)
         report.t_global = time.perf_counter() - t0
         report.gmres_iters = info.iterations
@@ -212,7 +252,7 @@ def load_reference(path):
 
 
 def sweep(cfg: CaseConfig, methods, levels, out_dir, model: MlpModel | None = None,
-          workers: int = 1, reference: ElementNodalField | None = None,
+          workers: int | None = None, reference: ElementNodalField | None = None,
           l_ref: int | None = None):
     """Refinement sweep over methods; writes the report table and panel CSVs."""
     out_dir = Path(out_dir)

@@ -22,6 +22,10 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_MODEL = 4
 
+WORKERS_HELP = ("threads for the exact local solves; 'auto' (default) is the usable "
+                "cores divided by the BLAS thread count that OPENBLAS_NUM_THREADS, "
+                "OMP_NUM_THREADS or MKL_NUM_THREADS sets, and 1 when none is set")
+
 
 def _case_config(args) -> CaseConfig:
     cfg = load_case_config(args.config) if args.config else default_config("idealized-1")
@@ -131,6 +135,19 @@ def cmd_reference(args) -> int:
     return EXIT_OK
 
 
+def _workers_arg(text: str):
+    """--workers: a positive count, or "auto" for `bench.default_workers()`."""
+    if text == "auto":
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer or 'auto', got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rthdg",
                                  description="radiative-transfer DG/HDG/HDG-EL benchmark suite")
@@ -168,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--level", type=int, default=None)
     run.add_argument("--model", type=str, default=None)
     run.add_argument("--out", type=str, default=None)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=_workers_arg, default="auto", help=WORKERS_HELP)
     run.add_argument("--tol", type=float, default=None)
     run.add_argument("--reference", type=str, default=None, help="reference field npz")
     run.add_argument("--ref-level", dest="ref_level", type=int, default=None,
@@ -180,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--levels", type=str, default="0,1,2,3,4")
     sw.add_argument("--model", type=str, default=None)
     sw.add_argument("--out", type=str, required=True)
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--workers", type=_workers_arg, default="auto", help=WORKERS_HELP)
     sw.add_argument("--tol", type=float, default=None)
     sw.add_argument("--reference", type=str, default=None)
     sw.add_argument("--ref-level", dest="ref_level", type=int, default=None)

@@ -19,8 +19,7 @@ import scipy.sparse.linalg
 
 from .angular import AngularGrid, PhaseKernel
 from .basis import lgl_quadrature
-from .errors import SolverFailure
-from .hybrid import GMRES_RESTART, ElementNodalField
+from .hybrid import GMRES_RESTART, ElementNodalField, restarted_gmres
 from .local import SigmaField, reference_kernels
 from .mesh import Mesh
 
@@ -172,29 +171,16 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
 
 
 def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART):
-    """Left-preconditioned GMRES on the monolithic system."""
+    """Left-preconditioned GMRES on the monolithic system (see `restarted_gmres`)."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    info = DgSolveInfo(iterations=0)
     if not np.any(system.b):
-        return np.zeros(system.n_dofs), info
+        return np.zeros(system.n_dofs), DgSolveInfo(iterations=0)
     lu = system.preconditioner()
     mop = scipy.sparse.linalg.LinearOperator(
         (system.n_dofs, system.n_dofs), matvec=lu.solve)
-
-    def _cb(pr_norm):
-        info.iterations += 1
-        info.residuals.append(float(pr_norm))
-
-    maxiter = max(1, int(np.ceil(10 * system.n_dofs / restart)))
-    x, code = scipy.sparse.linalg.gmres(
-        system.matrix, system.b, rtol=tol, atol=0.0, restart=restart,
-        maxiter=maxiter, M=mop, callback=_cb, callback_type="pr_norm")
-    if code != 0:
-        raise SolverFailure(
-            f"DG GMRES did not reach rtol={tol} within {maxiter} cycles",
-            residuals=info.residuals)
-    return x, info
+    x, residuals = restarted_gmres(system.matrix, system.b, tol, restart, "DG", M=mop)
+    return x, DgSolveInfo(iterations=len(residuals), residuals=residuals)
 
 
 def dg_mean_intensity(u: np.ndarray, mesh: Mesh, grid: AngularGrid, p: int) -> ElementNodalField:

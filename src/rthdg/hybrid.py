@@ -18,9 +18,13 @@ import scipy.sparse.linalg
 
 from .basis import lagrange_basis_at, lgl_quadrature
 from .errors import SolverFailure
+from .local import element_solution
 from .mesh import Mesh, SkeletonIndex
 
 GMRES_RESTART = 200
+#: a restart cycle that lowers the residual by less than this fraction has
+#: stalled: the next cycle rebuilds nearly the same Krylov space
+GMRES_STALL_FRACTION = 1e-3
 
 
 @dataclass
@@ -91,52 +95,65 @@ class HybridSystem:
         b[self.out_free.reshape(-1)] = y.reshape(-1)
         return b
 
-    def residual_action(self, uhat_full: np.ndarray) -> np.ndarray:
-        """Affine consistency residual of a full skeleton vector, on free DOFs."""
-        y = np.einsum("eij,ej->ei", self.a_i2o, uhat_full[self.in_idx]) + self.fhat
-        r = np.empty(self.n_free)
-        r[self.out_free.reshape(-1)] = (uhat_full[self.index.elem_outflow]
-                                        - y).reshape(-1)
-        return r
-
 
 def assemble_hybrid(index: SkeletonIndex, ops_list) -> HybridSystem:
     return HybridSystem(index, ops_list)
+
+
+def restarted_gmres(matrix, b: np.ndarray, tol: float, restart: int, label: str, M=None):
+    """Restarted GMRES from zero with right-hand-side-relative stopping.
+
+    Returns (x, residual history). The outer cycle cap is 10 * n / restart.
+    Raises SolverFailure, carrying the history, when a full restart cycle
+    lowers the residual by less than GMRES_STALL_FRACTION or when the cap
+    is reached.
+    """
+    residuals = []
+
+    def _cb(pr_norm):
+        residuals.append(float(pr_norm))
+        k = len(residuals)
+        if k % restart == 0 and k > restart:
+            before, now = residuals[-1 - restart], residuals[-1]
+            if now > (1.0 - GMRES_STALL_FRACTION) * before:
+                raise SolverFailure(
+                    f"{label} GMRES stalled at residual {now:.5g} after {k} iterations "
+                    f"(down {(before - now) / before:.1e} relative over the last "
+                    f"{restart}; rtol={tol})", residuals=residuals)
+
+    maxiter = max(1, int(np.ceil(10 * b.size / restart)))
+    x, code = scipy.sparse.linalg.gmres(
+        matrix, b, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter, M=M,
+        callback=_cb, callback_type="pr_norm")
+    if code != 0:
+        raise SolverFailure(
+            f"{label} GMRES did not reach rtol={tol} within {maxiter} cycles "
+            f"(last residual {residuals[-1] if residuals else 'n/a'})",
+            residuals=residuals)
+    return x, residuals
 
 
 def solve_hybrid(system: HybridSystem, bc: SkeletonState, tol: float = 1e-4,
                  restart: int = GMRES_RESTART):
     """GMRES on the free hybrid DOFs; returns (SkeletonState, HybridSolveInfo).
 
-    Right-hand-side-relative stopping; restarted at `restart` with an outer
-    cycle cap of 10 * n_free / restart; no preconditioner.
+    Right-hand-side-relative stopping, restarted at `restart`, no
+    preconditioner; stalls and the cycle cap raise (see `restarted_gmres`).
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     b = system.rhs(bc)
     full = bc.values.copy()
-    info = HybridSolveInfo(iterations=0)
     if not np.any(b):
         full[~system.index.dirichlet_mask] = 0.0
-        return SkeletonState(values=full, dirichlet_mask=bc.dirichlet_mask), info
-
-    def _cb(pr_norm):
-        info.iterations += 1
-        info.residuals.append(float(pr_norm))
-
+        return (SkeletonState(values=full, dirichlet_mask=bc.dirichlet_mask),
+                HybridSolveInfo(iterations=0))
     op = scipy.sparse.linalg.LinearOperator(
         (system.n_free, system.n_free), matvec=system.linear_action)
-    maxiter = max(1, int(np.ceil(10 * system.n_free / restart)))
-    x, code = scipy.sparse.linalg.gmres(
-        op, b, rtol=tol, atol=0.0, restart=restart, maxiter=maxiter,
-        callback=_cb, callback_type="pr_norm")
-    if code != 0:
-        raise SolverFailure(
-            f"hybrid GMRES did not reach rtol={tol} within {maxiter} cycles "
-            f"(last residual {info.residuals[-1] if info.residuals else 'n/a'})",
-            residuals=info.residuals)
+    x, residuals = restarted_gmres(op, b, tol, restart, "hybrid")
     full[~system.index.dirichlet_mask] = x
-    return SkeletonState(values=full, dirichlet_mask=bc.dirichlet_mask), info
+    return (SkeletonState(values=full, dirichlet_mask=bc.dirichlet_mask),
+            HybridSolveInfo(iterations=len(residuals), residuals=residuals))
 
 
 @dataclass
@@ -218,15 +235,24 @@ def boundary_fluxes(uhat: SkeletonState, index: SkeletonIndex):
     return influx, outflux
 
 
-def recover_solution(uhat: SkeletonState, ops_list, index: SkeletonIndex) -> np.ndarray:
-    """Full interior solutions u = A_i2u uhat_in + f_u, shape (n_elems, n_vol)."""
-    a = np.stack([ops.a_i2u for ops in ops_list])
-    f = np.stack([ops.f_u for ops in ops_list])
-    return np.einsum("eij,ej->ei", a, uhat.values[index.elem_inflow]) + f
+def recover_solution(uhat: SkeletonState, index: SkeletonIndex, sigma_fields, kernel,
+                     f=None) -> np.ndarray:
+    """Full interior solutions, shape (n_elems, n_vol), re-solved per element.
+
+    Each element's local balance is solved again with its inflow trace from
+    uhat (and its forcing f[e], if given), through the same kernel that
+    built its operators; nothing is retained from the operator phase.
+    """
+    mesh = index.mesh
+    h = (mesh.hx, mesh.hy)
+    return np.stack([element_solution(sigma_fields[e], index.grid, kernel, h,
+                                      uhat.values[index.elem_inflow[e]],
+                                      f=None if f is None else f[e], element_index=e)
+                     for e in range(mesh.n_elems)])
 
 
 def recover_mean_intensity(uhat: SkeletonState, ops_list, index: SkeletonIndex) -> ElementNodalField:
-    """Mean intensity m = A_i2m uhat_in + (angular average of f_u) per element."""
+    """Mean intensity m = A_i2m uhat_in + f_mean per element."""
     a = np.stack([ops.a_i2m for ops in ops_list])
     f = np.stack([ops.f_mean for ops in ops_list])
     vals = np.einsum("eij,ej->ei", a, uhat.values[index.elem_inflow]) + f

@@ -1,4 +1,4 @@
-"""Element-local solver: submatrix assembly, local solve, operator extraction.
+"""Element-local solver: balance assembly, inflow solves, operator extraction.
 
 On one element the discrete transport balance reads
 
@@ -16,16 +16,23 @@ and horizontal-face terms hx/2. For a square element of size h this is the
 usual (h/2)^2 / (h/2) split, and the inflow-to-solution map depends on
 (h, sigma) only through the rescaled coefficients h*sigma/2.
 
-Inverting the balance yields the inflow-to-solution map and the forcing
-response; gathering outflow trace rows and angular averages yields the
-inflow-to-outflow and inflow-to-mean operators that drive the global solve.
+The balance matrix A = B - C + M - S is written into one array per element:
+the sigma-independent part B - C is cached per element size, the extinction
+mass is added on the diagonal, and the node-wise scattering blocks are
+subtracted through a view of the diagonal blocks. Bhat has one nonzero per
+column, so the inflow right-hand sides are scaled unit vectors. One LU
+factorization serves them all; only the outflow-trace rows and the angular
+averages of the responses are kept, as the inflow-to-outflow and
+inflow-to-mean operators that drive the global solve. The full interior
+solution for a given inflow trace is a re-solve on request
+(`element_solution`).
 """
 
-import warnings
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .angular import AngularGrid, PhaseKernel
 from .basis import differentiation_matrix, lgl_quadrature
@@ -33,6 +40,8 @@ from .errors import SolverFailure
 from .mesh import FACE_LEFT, FACE_RIGHT, ElementTraceMap
 
 _SINGULAR_RCOND = 1e-14
+#: element sizes whose B - C stays cached per (p, grid)
+_BASE_CACHE_SIZE = 4
 
 
 def _element_sizes(h) -> tuple[float, float]:
@@ -72,34 +81,18 @@ class SigmaField:
 
 
 @dataclass
-class LocalMatrices:
-    """The five element submatrices and the tested forcing vector."""
-
-    b: np.ndarray      # (n_vol, n_vol) outflow face term (diagonal)
-    bhat: np.ndarray   # (n_vol, n_in) inflow face coupling
-    c: np.ndarray      # (n_vol, n_vol) volume advection
-    m: np.ndarray      # (n_vol, n_vol) extinction mass (diagonal)
-    s: np.ndarray      # (n_vol, n_vol) scattering redistribution
-    f: np.ndarray      # (n_vol,)
-    p: int
-    h: tuple[float, float]
-
-
-@dataclass
 class LocalOperators:
-    """Element-local solution maps.
+    """Element-local solution maps restricted to what the global solve reads.
 
-    a_i2u/f_u are the full interior responses; a_i2o/fhat_u their outflow
-    trace gathers; a_i2m/f_mean their angular averages. Surrogate-produced
-    instances carry only (a_i2o, a_i2m) with zero forcing responses.
+    a_i2o/fhat_u are the inflow and forcing responses gathered on the
+    outflow trace; a_i2m/f_mean their angular averages at the volume nodes.
+    Surrogate-produced instances carry zero forcing responses.
     """
 
     a_i2o: np.ndarray            # (n_out, n_in)
     a_i2m: np.ndarray            # (n_sp, n_in)
     fhat_u: np.ndarray           # (n_out,)
     f_mean: np.ndarray           # (n_sp,)
-    a_i2u: np.ndarray | None = None  # (n_vol, n_in)
-    f_u: np.ndarray | None = None    # (n_vol,)
 
 
 class _ReferenceKernels:
@@ -124,107 +117,175 @@ class _ReferenceKernels:
                   (tm.outflow_wnode * tm.outflow_flux)[vert])
         np.add.at(self.b_diag_horz, tm.outflow_vol[~vert],
                   (tm.outflow_wnode * tm.outflow_flux)[~vert])
-        bhat = np.zeros((n_vol, tm.n_in))
-        bhat[tm.inflow_vol, np.arange(tm.n_in)] = tm.inflow_wnode * tm.inflow_flux
-        self.bhat = bhat
+        # Bhat: column k has its one nonzero in row inflow_vol[k]
+        self.bhat_val = tm.inflow_wnode * tm.inflow_flux
         self.bhat_col_vert = np.isin(tm.inflow_face, (FACE_LEFT, FACE_RIGHT))
         self.p = p
         self.n_vol = n_vol
+        self._bases = {}
+        self._lock = threading.Lock()
+
+    def transport_base(self, hx: float, hy: float) -> np.ndarray:
+        """B - C on an hx-by-hy element: read-only, Fortran order, cached."""
+        key = (hx, hy)
+        with self._lock:
+            base = self._bases.get(key)
+            if base is None:
+                half_x, half_y = 0.5 * hx, 0.5 * hy
+                base = np.asfortranarray(-(half_y * self.cx_vol + half_x * self.cy_vol))
+                diag = np.einsum("ii->i", base)
+                diag += half_y * self.b_diag_vert + half_x * self.b_diag_horz
+                base.flags.writeable = False
+                if len(self._bases) >= _BASE_CACHE_SIZE:
+                    del self._bases[next(iter(self._bases))]
+                self._bases[key] = base
+            return base
+
+    def inflow_coupling(self, hx: float, hy: float) -> np.ndarray:
+        """The nonzero of each Bhat column on an hx-by-hy element, shape (n_in,)."""
+        return self.bhat_val * np.where(self.bhat_col_vert, 0.5 * hy, 0.5 * hx)
 
 
 _kernel_cache: dict[tuple, _ReferenceKernels] = {}
+_kernel_cache_lock = threading.Lock()
 
 
 def reference_kernels(p: int, grid: AngularGrid) -> _ReferenceKernels:
     key = (p, grid.n_elems, grid.p_a)
-    if key not in _kernel_cache:
-        _kernel_cache[key] = _ReferenceKernels(p, grid)
-    return _kernel_cache[key]
+    with _kernel_cache_lock:
+        if key not in _kernel_cache:
+            _kernel_cache[key] = _ReferenceKernels(p, grid)
+        return _kernel_cache[key]
 
 
-def assemble_local(sigma: SigmaField, grid: AngularGrid, kernel: PhaseKernel,
-                   h, f=None) -> LocalMatrices:
-    """Assemble the element submatrices on an element of size h (scalar or (hx, hy))."""
+def _degree(sigma: SigmaField) -> int:
     p = sigma.sigma_e.shape[0] - 1
     if sigma.sigma_e.shape != (p + 1, p + 1):
         raise ValueError(f"coefficient grid must be square, got {sigma.sigma_e.shape}")
+    return p
+
+
+def assemble_local(sigma: SigmaField, grid: AngularGrid, kernel: PhaseKernel,
+                   h) -> np.ndarray:
+    """The balance matrix A = B - C + M - S on an element of size h (scalar or (hx, hy)).
+
+    Returns a fresh Fortran-ordered (n_vol, n_vol) array, ready to be
+    factored in place. Volume DOFs are ordered node-major: (node, angle).
+    """
+    p = _degree(sigma)
     if kernel.kernel.shape != (grid.n_elems, grid.n_elems):
         raise ValueError("phase kernel does not match the angular grid")
     hx, hy = _element_sizes(h)
     ref = reference_kernels(p, grid)
     na = grid.n_elems
     n_sp = (p + 1) ** 2
-    half_x, half_y = 0.5 * hx, 0.5 * hy
-    vol_scale = half_x * half_y
+    vol_scale = 0.25 * hx * hy
 
-    b = np.diag(half_y * ref.b_diag_vert + half_x * ref.b_diag_horz)
-    col_scale = np.where(ref.bhat_col_vert, half_y, half_x)
-    bhat = ref.bhat * col_scale[None, :]
-    c = half_y * ref.cx_vol + half_x * ref.cy_vol
-    se = sigma.sigma_e.reshape(n_sp)
-    ss = sigma.sigma_s.reshape(n_sp)
-    m = np.diag(vol_scale * np.outer(ref.w2 * se, grid.widths).reshape(-1))
-    # separable scattering: (sigma_s-weighted collocation mass) x (angular kernel)
-    s = np.zeros((ref.n_vol, ref.n_vol))
-    s4 = s.reshape(n_sp, na, n_sp, na)
-    coef = vol_scale * ref.w2 * ss
-    for n in range(n_sp):
-        s4[n, :, n, :] = coef[n] * kernel.kernel
-
-    fvec = np.zeros(ref.n_vol)
-    if f is not None:
-        f = np.asarray(f, float)
-        if f.shape == (p + 1, p + 1):
-            fvec = vol_scale * np.outer(ref.w2 * f.reshape(n_sp), grid.widths).reshape(-1)
-        elif f.shape == (p + 1, p + 1, na):
-            fvec = vol_scale * (ref.w2[:, None] * f.reshape(n_sp, na) * grid.widths[None, :]).reshape(-1)
-        else:
-            raise ValueError(f"forcing shape {f.shape} incompatible with p={p}, N_a={na}")
-    return LocalMatrices(b=b, bhat=bhat, c=c, m=m, s=s, f=fvec, p=p, h=(hx, hy))
+    a = np.empty((ref.n_vol, ref.n_vol), order="F")
+    np.copyto(a, ref.transport_base(hx, hy))
+    diag = np.einsum("ii->i", a)
+    diag += vol_scale * np.outer(ref.w2 * sigma.sigma_e.reshape(n_sp), grid.widths).reshape(-1)
+    # separable scattering: (sigma_s-weighted collocation mass) x (angular kernel),
+    # one na x na block on the diagonal of every node
+    blocks = np.einsum("iaib->iab", a.reshape(n_sp, na, n_sp, na))
+    coef = vol_scale * ref.w2 * sigma.sigma_s.reshape(n_sp)
+    blocks -= coef[:, None, None] * kernel.kernel[None, :, :]
+    return a
 
 
-def local_solve(mats: LocalMatrices, element_index=None):
-    """Invert the local balance: returns (a_i2u, f_u).
+def forcing_vector(f, p: int, grid: AngularGrid, h) -> np.ndarray:
+    """Tested forcing [f] for nodal data f of shape (p+1, p+1) or (p+1, p+1, N_a)."""
+    f = np.asarray(f, float)
+    na = grid.n_elems
+    n_sp = (p + 1) ** 2
+    hx, hy = _element_sizes(h)
+    vol_scale = 0.25 * hx * hy
+    w2 = reference_kernels(p, grid).w2
+    if f.shape == (p + 1, p + 1):
+        return vol_scale * np.outer(w2 * f.reshape(n_sp), grid.widths).reshape(-1)
+    if f.shape == (p + 1, p + 1, na):
+        return vol_scale * (w2[:, None] * f.reshape(n_sp, na) * grid.widths[None, :]).reshape(-1)
+    raise ValueError(f"forcing shape {f.shape} incompatible with p={p}, N_a={na}")
 
-    One dense LU factorization (partial pivoting) serves all inflow
-    right-hand sides and the forcing response.
+
+def local_solve(a: np.ndarray, rhs: np.ndarray, element_index=None) -> np.ndarray:
+    """Solve a x = rhs by one LU factorization (partial pivoting), in place.
+
+    Both arrays are overwritten when they are Fortran-ordered float64 (as
+    `assemble_local` and the callers here make them); returns x.
     """
-    a = mats.b - mats.c + mats.m - mats.s
-    try:
-        with warnings.catch_warnings():
-            # singularity is detected below and raised as SolverFailure
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SolverFailure(f"local factorization failed on element {element_index}") from exc
-    udiag = np.abs(np.diag(lu))
+    lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
+    if info < 0:  # pragma: no cover - defensive
+        raise SolverFailure(f"local factorization failed on element {element_index}")
+    udiag = np.abs(np.einsum("ii->i", lu))
     if udiag.min() <= _SINGULAR_RCOND * udiag.max():
         raise SolverFailure(f"singular local matrix on element {element_index}")
-    a_i2u = -scipy.linalg.lu_solve((lu, piv), mats.bhat, check_finite=False)
-    f_u = scipy.linalg.lu_solve((lu, piv), mats.f, check_finite=False)
-    return a_i2u, f_u
+    x, info = lapack.dgetrs(lu, piv, rhs, overwrite_b=True)
+    if info != 0:  # pragma: no cover - defensive
+        raise SolverFailure(f"local solve failed on element {element_index}")
+    return x
 
 
-def extract_operators(a_i2u: np.ndarray, f_u: np.ndarray, tracemap: ElementTraceMap,
-                      grid: AngularGrid) -> LocalOperators:
-    """Gather the outflow-trace and angular-average restrictions."""
+def extract_operators(x: np.ndarray, tracemap: ElementTraceMap, grid: AngularGrid,
+                      forced: bool) -> LocalOperators:
+    """Gather the outflow-trace rows and angular averages of the responses x.
+
+    x holds the n_in inflow responses, followed by the forcing response
+    when forced.
+    """
     n_sp = (tracemap.p + 1) ** 2
-    na = grid.n_elems
-    mw = grid.mean_weights
-    a_i2o = a_i2u[tracemap.outflow_vol, :]
-    fhat_u = f_u[tracemap.outflow_vol]
-    a_i2m = np.einsum("a,nak->nk", mw, a_i2u.reshape(n_sp, na, -1))
-    f_mean = f_u.reshape(n_sp, na) @ mw
-    return LocalOperators(a_i2o=a_i2o, a_i2m=a_i2m, fhat_u=fhat_u, f_mean=f_mean,
-                          a_i2u=a_i2u, f_u=f_u)
+    n_in = tracemap.n_in
+    mean = np.einsum("a,nak->nk", grid.mean_weights, x.reshape(n_sp, grid.n_elems, -1),
+                     order="C")
+    trace = x[tracemap.outflow_vol, :]
+    if forced:
+        return LocalOperators(a_i2o=trace[:, :n_in], a_i2m=mean[:, :n_in],
+                              fhat_u=trace[:, n_in], f_mean=mean[:, n_in])
+    return LocalOperators(a_i2o=trace, a_i2m=mean, fhat_u=np.zeros(tracemap.n_out),
+                          f_mean=np.zeros(n_sp))
 
 
 def solve_element(sigma: SigmaField, grid: AngularGrid, kernel: PhaseKernel,
                   h, f=None, element_index=None) -> LocalOperators:
-    """assemble + solve + extract for one element (the exact local pipeline)."""
-    mats = assemble_local(sigma, grid, kernel, h, f=f)
-    a_i2u, f_u = local_solve(mats, element_index=element_index)
-    return extract_operators(a_i2u, f_u, reference_kernels(mats.p, grid).tracemap, grid)
+    """The exact local pipeline for one element: assemble, solve the inflow responses, extract."""
+    p = _degree(sigma)
+    hx, hy = _element_sizes(h)
+    ref = reference_kernels(p, grid)
+    tm = ref.tracemap
+    a = assemble_local(sigma, grid, kernel, (hx, hy))
+    # u = A^{-1} ([f] - Bhat uhat_in): the inflow columns are -Bhat
+    n_rhs = tm.n_in + (f is not None)
+    rhs = np.zeros((ref.n_vol, n_rhs), order="F")
+    rhs[tm.inflow_vol, np.arange(tm.n_in)] = -ref.inflow_coupling(hx, hy)
+    if f is not None:
+        rhs[:, tm.n_in] = forcing_vector(f, p, grid, (hx, hy))
+    x = local_solve(a, rhs, element_index=element_index)
+    return extract_operators(x, tm, grid, forced=f is not None)
+
+
+def element_solution(sigma: SigmaField, grid: AngularGrid, kernel: PhaseKernel,
+                     h, uhat_in, f=None, element_index=None) -> np.ndarray:
+    """Interior solution u = A^{-1} ([f] - Bhat uhat_in), re-solved on request.
+
+    uhat_in has shape (n_in,) or (n_in, k) for k inflow traces at once; the
+    result has shape (n_vol,) or (n_vol, k) in node-major (node, angle) order.
+    """
+    p = _degree(sigma)
+    hx, hy = _element_sizes(h)
+    ref = reference_kernels(p, grid)
+    tm = ref.tracemap
+    uhat_in = np.asarray(uhat_in, float)
+    if uhat_in.ndim not in (1, 2) or uhat_in.shape[0] != tm.n_in:
+        raise ValueError(f"inflow trace of shape {uhat_in.shape}, expected ({tm.n_in}, ...)")
+    cols = uhat_in.reshape(tm.n_in, -1)
+    a = assemble_local(sigma, grid, kernel, (hx, hy))
+    rhs = np.zeros((ref.n_vol, cols.shape[1]), order="F")
+    # corner nodes carry two inflow slots: accumulate
+    np.add.at(rhs, tm.inflow_vol, -ref.inflow_coupling(hx, hy)[:, None] * cols)
+    if f is not None:
+        rhs += forcing_vector(f, p, grid, (hx, hy))[:, None]
+    x = local_solve(a, rhs, element_index=element_index)
+    return x.reshape((ref.n_vol,) + uhat_in.shape[1:])
 
 
 def element_trace_map(p: int, grid: AngularGrid) -> ElementTraceMap:

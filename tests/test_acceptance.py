@@ -21,7 +21,7 @@ from rthdg.datagen import (DiscretizationConfig, SamplerConfig,
 from rthdg.hybrid import (assemble_hybrid, boundary_fluxes, project_boundary,
                           recover_mean_intensity, recover_solution,
                           relative_l2_error, solve_hybrid)
-from rthdg.local import SigmaField, assemble_local, local_solve, solve_element
+from rthdg.local import SigmaField, element_solution, element_trace_map, solve_element
 from rthdg.mesh import build_mesh, skeleton_numbering
 from rthdg.surrogate import (forward, init_mlp, mae_gradients, mae_loss,
                              predict_local_ops_batch, save_model, train)
@@ -104,7 +104,7 @@ def test_criterion_2_transport_exactness(capacity_models):
     ops = [solve_element(s, grid, kernel, mesh.hx) for s in sigmas]
     bc = project_boundary(g, index)
     uhat, _ = solve_hybrid(assemble_hybrid(index, ops), bc, tol=1e-12)
-    u_h = recover_solution(uhat, ops, index).reshape(mesh.n_elems, n_sp, na)
+    u_h = recover_solution(uhat, index, sigmas, kernel).reshape(mesh.n_elems, n_sp, na)
     err_h = max(np.abs(u_h[:, :, a_star] - 1.0).max(),
                 np.abs(np.delete(u_h, a_star, axis=2)).max())
     checks.append((f"hdg max error {err_h:.2e} <= 1e-10", err_h <= 1e-10))
@@ -147,14 +147,15 @@ def test_criterion_4_scaling_identity():
     p, na, h = 3, 8, 0.7
     grid = build_angular_grid(na)
     kernel = scattering_kernel_matrix(grid, 0.8)
+    unit_inflows = np.eye(element_trace_map(p, grid).n_in)  # A_i2u, re-solved on request
     worst = 0.0
     for k in range(20):
         rng = sample_rng(7000, k)
         sig = rng.uniform(0.0, 8.0, (p + 1, p + 1))
-        a1, _ = local_solve(assemble_local(
-            SigmaField.from_scattering(sig, 1.0), grid, kernel, h))
-        a2, _ = local_solve(assemble_local(
-            SigmaField.from_scattering(h * sig / 2, 1.0), grid, kernel, 2.0))
+        a1 = element_solution(SigmaField.from_scattering(sig, 1.0), grid, kernel, h,
+                              unit_inflows)
+        a2 = element_solution(SigmaField.from_scattering(h * sig / 2, 1.0), grid, kernel,
+                              2.0, unit_inflows)
         worst = max(worst, np.abs(a1 - a2).max() / np.abs(a2).max())
     _gate(4, "element rescaling identity", t0,
           [(f"max rel deviation {worst:.2e} <= 1e-12", worst <= 1e-12)], 60,

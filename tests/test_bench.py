@@ -1,16 +1,21 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
 from rthdg import bench, cli
 from rthdg.cases import CloudParams, default_config
-from rthdg.errors import ModelMismatch
+from rthdg.errors import ModelMismatch, SolverFailure
+from rthdg.hybrid import GMRES_RESTART
 from rthdg.surrogate import init_mlp, load_model, save_model
 
 DESK = default_config("idealized-1", p=2, n_a=8, beam_index=7, tol=1e-6,
                       cloud=CloudParams(width=0.4))
+# desk idealized-1 in the thick-cloud regime
+THICK = default_config("idealized-1", p=3, n_a=8, beam_index=7,
+                       cloud=CloudParams(amplitude=1000.0, width=0.12))
 
 
 def test_volume_dof_formulas(tmp_path):
@@ -74,9 +79,117 @@ def test_hdg_el_runs_with_matching_model():
 def test_workers_give_same_operators():
     prob = bench.build_problem(DESK, 0)
     seq = bench.exact_local_ops(prob, workers=1)
-    par = bench.exact_local_ops(prob, workers=4)
-    for a, b in zip(seq, par):
-        np.testing.assert_array_equal(a.a_i2o, b.a_i2o)
+    rng = np.random.default_rng(0)
+    f = [rng.uniform(0, 1, (3, 3)) for _ in range(prob.mesh.n_elems)]
+    seq_f = bench.exact_local_ops(prob, workers=1, f=f)
+    for workers in (2, 4):
+        par = bench.exact_local_ops(prob, workers=workers)
+        par_f = bench.exact_local_ops(prob, workers=workers, f=f)
+        assert len(par) == len(par_f) == prob.mesh.n_elems
+        for a, b in zip(seq + seq_f, par + par_f):
+            for name in ("a_i2o", "a_i2m", "fhat_u", "f_mean"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_cold_kernel_caches_under_threads(monkeypatch):
+    # more workers than cores race to fill the per-(p, grid) and per-size
+    # caches; every element still gets the serial operators and each cache
+    # ends with one entry
+    import sys
+
+    from rthdg import local
+    prob = bench.build_problem(DESK, 0)
+    want = bench.exact_local_ops(prob, workers=1)
+    monkeypatch.setattr(local, "_kernel_cache", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = bench.exact_local_ops(prob, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [o.a_i2o.tobytes() for o in got] == [o.a_i2o.tobytes() for o in want]
+    (ref,) = local._kernel_cache.values()
+    assert list(ref._bases) == [(prob.mesh.hx, prob.mesh.hy)]
+
+
+@pytest.mark.parametrize("env, cores, expected", [
+    ({}, 2, 1),                                   # BLAS owns every core
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 4, 4),
+    ({"MKL_NUM_THREADS": "2"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 2, 1),        # never below one worker
+    ({"OMP_NUM_THREADS": "bogus"}, 2, 1),
+])
+def test_default_workers_rule(monkeypatch, env, cores, expected):
+    for var in bench.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert bench.default_workers() == expected
+
+
+def test_explicit_workers_win(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+    real = bench.exact_local_ops
+
+    def spy(problem, workers=None, f=None):
+        seen.append(workers)
+        return real(problem, workers=workers, f=f)
+
+    monkeypatch.setattr(bench, "exact_local_ops", spy)
+    rep, _ = bench.run_case(DESK, "hdg", level=0, workers=3)
+    assert seen == [3] and rep.meta["workers"] == 3
+    rep, _ = bench.run_case(DESK, "hdg", level=0)
+    assert seen == [3, 2] and rep.meta["workers"] == 2
+    assert cli.build_parser().parse_args(["run", "--method", "hdg"]).workers is None
+    assert cli.build_parser().parse_args(
+        ["sweep", "--out", "x", "--workers", "3"]).workers == 3
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["run", "--method", "hdg", "--workers", "0"])
+
+
+def test_dg_assembly_is_timed(monkeypatch):
+    # DG's global time includes assemble_dg, as hdg's includes assemble_hybrid
+    delay = 0.5
+    real = bench.dg_mod.assemble_dg
+
+    def slow_assemble(*args, **kwargs):
+        time.sleep(delay)
+        return real(*args, **kwargs)
+
+    fast, _ = bench.run_case(DESK, "dg", level=0)
+    monkeypatch.setattr(bench.dg_mod, "assemble_dg", slow_assemble)
+    slow, _ = bench.run_case(DESK, "dg", level=0)
+    assert slow.t_global >= delay
+    assert slow.t_total - fast.t_total > 0.8 * delay
+
+
+def test_untrained_surrogate_stalls_early():
+    # an untrained net gives non-contractive operators: the skeleton GMRES
+    # stalls near 0.317 and must fail after two restart cycles, not grind
+    # toward its cycle cap
+    t0 = time.perf_counter()
+    with pytest.raises(SolverFailure, match="stalled") as err:
+        bench.run_case(THICK, "hdg-el", level=4, model=init_mlp(3, 3, 8, seed=0))
+    assert time.perf_counter() - t0 < 10.0
+    assert len(err.value.residuals) == 2 * GMRES_RESTART
+
+
+def test_slow_converging_solves_do_not_stall():
+    # thick-cloud DG needs several restart cycles; each still lowers the
+    # residual by far more than the stall fraction
+    rep_dg, fld_dg = bench.run_case(THICK, "dg", level=4)
+    rep_hdg, fld_hdg = bench.run_case(THICK, "hdg", level=4)
+    assert rep_dg.gmres_iters > 2 * GMRES_RESTART
+    assert rep_hdg.gmres_iters < GMRES_RESTART
+    from rthdg.hybrid import relative_l2_error
+    assert relative_l2_error(fld_hdg, fld_dg) < 1e-2
 
 
 def test_sweep_tables(tmp_path):
@@ -159,6 +272,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["method"] == "hdg"
     assert (tmp_path / "out" / "hdg_l0_report.json").exists()
+
+
+def test_cli_solver_stall_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "thick.json"
+    cfg.write_text(json.dumps({"case": "idealized-1", "p": 3, "n_a": 8, "beam_index": 7,
+                               "cloud": {"amplitude": 1000.0, "width": 0.12}}))
+    mpath = tmp_path / "untrained.bin"
+    save_model(init_mlp(3, 3, 8, seed=0), mpath)
+    rc = cli.main(["run", "--config", str(cfg), "--method", "hdg-el", "--level", "4",
+                   "--model", str(mpath)])
+    assert rc == 3
+    assert "stalled" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):

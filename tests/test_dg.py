@@ -3,7 +3,7 @@ import pytest
 
 from rthdg import dg as dgm
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
-from rthdg.local import SigmaField, assemble_local
+from rthdg.local import SigmaField, assemble_local, forcing_vector
 from rthdg.mesh import build_mesh
 
 
@@ -26,8 +26,7 @@ def test_single_element_matches_local_matrices():
     mesh = build_mesh(2.0, 2.0, 1, 1)
     sig = SigmaField.from_scattering(rng.uniform(0, 4, (p + 1, p + 1)), 1.0)
     system = dgm.assemble_dg(mesh, grid, kernel, [sig], p, g=beam_bc(grid, 5))
-    mats = assemble_local(sig, grid, kernel, 2.0)
-    a_local = mats.b - mats.c + mats.m - mats.s
+    a_local = assemble_local(sig, grid, kernel, 2.0)
     assert np.abs(system.matrix.toarray() - a_local).max() < 1e-14
     # boundary data lands on the rhs through the inflow coupling
     assert np.abs(system.b).max() > 0
@@ -107,9 +106,8 @@ def test_forcing_enters_rhs():
     p = 1
     f = [np.ones((2, 2))]
     system = dgm.assemble_dg(mesh, grid, kernel, [const_sigma(p, 1, 0)], p, f=f)
-    mats = assemble_local(const_sigma(p, 1, 0), grid, kernel, (1.0, 1.0),
-                          f=f[0])
-    np.testing.assert_allclose(system.b, mats.f, atol=1e-15)
+    np.testing.assert_allclose(system.b, forcing_vector(f[0], p, grid, (1.0, 1.0)),
+                               atol=1e-15)
 
 
 def test_mismatched_sigma_count():

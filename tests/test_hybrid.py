@@ -200,10 +200,11 @@ def test_affine_consistency():
     g = beam_bc(grid, 5)
 
     def solve_scaled(s):
-        ops = exact_ops(mesh, grid, kernel, sigmas, f=[s * fe for fe in f])
+        fs = [s * fe for fe in f]
+        ops = exact_ops(mesh, grid, kernel, sigmas, f=fs)
         bc = project_boundary(lambda x, y, t, n: s * g(x, y, t, n), index)
         uhat, _ = solve_hybrid(assemble_hybrid(index, ops), bc, tol=1e-12)
-        return recover_solution(uhat, ops, index)
+        return recover_solution(uhat, index, sigmas, kernel, f=fs)
 
     u1 = solve_scaled(1.0)
     ua = solve_scaled(alpha)

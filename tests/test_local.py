@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from local_oracle import oracle_operators, oracle_terms
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
 from rthdg.basis import lgl_quadrature
 from rthdg.errors import SolverFailure
-from rthdg.local import (LocalMatrices, SigmaField, assemble_local,
-                         element_trace_map, extract_operators, local_solve,
+from rthdg.local import (SigmaField, assemble_local, element_solution,
+                         element_trace_map, forcing_vector, local_solve,
                          solve_element)
+from rthdg.mesh import FACE_LEFT, FACE_RIGHT
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +22,24 @@ def desk():
 def const_sigma(p, se, ss):
     return SigmaField(np.full((p + 1, p + 1), float(se)),
                       np.full((p + 1, p + 1), float(ss)))
+
+
+def node_blocks(a, p, na):
+    """The na x na diagonal block of every node, shape (n_sp, na, na)."""
+    n_sp = (p + 1) ** 2
+    return np.einsum("iaib->iab", a.reshape(n_sp, na, n_sp, na))
+
+
+def interior_responses(sig, grid, kernel, h, f=None):
+    """(a_i2u, f_u) re-solved on request: unit inflow traces, then the forcing alone."""
+    n_in = element_trace_map(sig.sigma_e.shape[0] - 1, grid).n_in
+    a_i2u = element_solution(sig, grid, kernel, h, np.eye(n_in))
+    f_u = element_solution(sig, grid, kernel, h, np.zeros(n_in), f=f)
+    return a_i2u, f_u
+
+
+def rel_dev(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
 def test_sigma_field_validation():
@@ -34,69 +56,122 @@ def test_sigma_field_validation():
 def test_full_scale_shapes():
     grid = build_angular_grid(28)
     kernel = scattering_kernel_matrix(grid, 0.8)
-    mats = assemble_local(const_sigma(6, 1.0, 1.0), grid, kernel, 2.0)
-    assert mats.b.shape == (1372, 1372)
-    assert mats.bhat.shape == (1372, 392)
-    assert mats.c.shape == (1372, 1372)
+    a = assemble_local(const_sigma(6, 1.0, 1.0), grid, kernel, 2.0)
+    assert a.shape == (1372, 1372)
+    assert a.flags.f_contiguous  # LAPACK factors it in place
+    assert element_trace_map(6, grid).n_in == 392
+
+
+@pytest.mark.parametrize("p, na, forced", [(6, 28, False), (3, 8, False), (3, 8, True)])
+def test_operators_match_dense_oracle(p, na, forced):
+    # the in-place assembly and inflow-only solve reproduce the five-term
+    # dense oracle on a rectangular element with random coefficients
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, 0.8)
+    rng = np.random.default_rng(100 * p + na + forced)
+    sig = SigmaField(rng.uniform(0.5, 6.0, (p + 1, p + 1)),
+                     rng.uniform(0.0, 5.0, (p + 1, p + 1)))
+    f = rng.uniform(-1.0, 1.0, (p + 1, p + 1)) if forced else None
+    h = (0.7, 0.4)
+    ops = solve_element(sig, grid, kernel, h, f=f)
+    want = oracle_operators(sig, grid, kernel, h, f=f)
+    for name in ("a_i2o", "a_i2m"):
+        assert rel_dev(getattr(ops, name), want[name]) < 1e-12, name
+    if forced:
+        for name in ("fhat_u", "f_mean"):
+            assert rel_dev(getattr(ops, name), want[name]) < 1e-12, name
+    else:
+        assert not np.any(ops.fhat_u) and not np.any(ops.f_mean)
+    np.testing.assert_allclose(assemble_local(sig, grid, kernel, h),
+                               oracle_terms(sig, grid, kernel, h).a, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(1, 3), g_asym=st.floats(0.0, 0.9),
+       hx=st.floats(0.1, 3.0), hy=st.floats(0.1, 3.0),
+       amp=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_flux_conservation_at_albedo_one(p, g_asym, hx, hy, amp, seed):
+    # pure scattering: every inflow column leaves the element in full,
+    # w_out . A_i2o[:, j] = w_in[j] with the face-flux weights of the trace map
+    grid = build_angular_grid(8)
+    kernel = scattering_kernel_matrix(grid, g_asym)
+    sig = SigmaField.from_scattering(
+        amp * np.random.default_rng(seed).random((p + 1, p + 1)), 1.0)
+    ops = solve_element(sig, grid, kernel, (hx, hy))
+    tm = element_trace_map(p, grid)
+    scale_out = np.where(np.isin(tm.outflow_face, (FACE_LEFT, FACE_RIGHT)), hy, hx) / 2
+    scale_in = np.where(np.isin(tm.inflow_face, (FACE_LEFT, FACE_RIGHT)), hy, hx) / 2
+    w_out = scale_out * tm.outflow_wnode * tm.outflow_flux
+    w_in = -scale_in * tm.inflow_wnode * tm.inflow_flux
+    assert np.abs(w_out @ ops.a_i2o - w_in).max() <= 1e-11 * np.abs(w_in).max()
 
 
 def test_extinction_mass_collocation(desk):
     grid, kernel = desk
     p = 4
-    mats = assemble_local(const_sigma(p, 1.0, 0.0), grid, kernel, 2.0)
+    m = (assemble_local(const_sigma(p, 1.0, 0.0), grid, kernel, 2.0)
+         - assemble_local(const_sigma(p, 0.0, 0.0), grid, kernel, 2.0))
     q = lgl_quadrature(p)
     w2 = np.kron(q.weights, q.weights)
     expected = np.repeat(w2, grid.n_elems) * np.tile(grid.widths, (p + 1) ** 2)
-    np.testing.assert_allclose(np.diag(mats.m), expected, atol=1e-15)
-    assert np.abs(mats.m - np.diag(np.diag(mats.m))).max() == 0.0
+    np.testing.assert_allclose(np.diag(m), expected, atol=1e-15)
+    assert np.abs(m - np.diag(np.diag(m))).max() == 0.0
 
 
 def test_zero_scattering_gives_zero_s(desk):
+    # without scattering no node couples its angular elements
     grid, kernel = desk
-    mats = assemble_local(const_sigma(3, 2.0, 0.0), grid, kernel, 2.0)
-    assert np.abs(mats.s).max() == 0.0
+    p, na = 3, grid.n_elems
+    off = ~np.eye(na, dtype=bool)
+    blocks = node_blocks(assemble_local(const_sigma(p, 2.0, 0.0), grid, kernel, 2.0), p, na)
+    assert np.abs(blocks[:, off]).max() == 0.0
+    blocks = node_blocks(assemble_local(const_sigma(p, 2.0, 1.0), grid, kernel, 2.0), p, na)
+    assert np.all(blocks[:, off] < 0.0)
 
 
 def test_forcing_shapes(desk):
     grid, kernel = desk
     p = 2
     f_iso = np.ones((p + 1, p + 1))
-    mats = assemble_local(const_sigma(p, 1.0, 0.0), grid, kernel, 2.0, f=f_iso)
-    assert mats.f.shape == ((p + 1) ** 2 * grid.n_elems,)
+    assert forcing_vector(f_iso, p, grid, 2.0).shape == ((p + 1) ** 2 * grid.n_elems,)
+    f_ang = np.ones((p + 1, p + 1, grid.n_elems))
+    np.testing.assert_array_equal(forcing_vector(f_ang, p, grid, 2.0),
+                                  forcing_vector(f_iso, p, grid, 2.0))
     with pytest.raises(ValueError):
-        assemble_local(const_sigma(p, 1.0, 0.0), grid, kernel, 2.0,
-                       f=np.ones((p + 2, p + 1)))
+        forcing_vector(np.ones((p + 2, p + 1)), p, grid, 2.0)
+    with pytest.raises(ValueError):
+        solve_element(const_sigma(p, 1.0, 0.0), grid, kernel, 2.0, f=np.ones((p + 2, p + 2)))
 
 
 def test_local_solve_residual(desk):
     grid, kernel = desk
     rng = np.random.default_rng(5)
     sig = SigmaField.from_scattering(rng.uniform(0, 5, (4, 4)), 1.0)
-    mats = assemble_local(sig, grid, kernel, 2.0)
-    a_i2u, f_u = local_solve(mats)
-    a = mats.b - mats.c + mats.m - mats.s
-    resid = np.abs(a @ a_i2u + mats.bhat).max()
-    assert resid < 1e-10 * np.abs(mats.bhat).max()
+    a_i2u, f_u = interior_responses(sig, grid, kernel, 2.0)
+    terms = oracle_terms(sig, grid, kernel, 2.0)
+    resid = np.abs(terms.a @ a_i2u + terms.bhat).max()
+    assert resid < 1e-10 * np.abs(terms.bhat).max()
     assert np.abs(f_u).max() == 0.0  # f was zero
 
 
 def test_zero_data_nullity(desk):
     grid, kernel = desk
-    ops = solve_element(const_sigma(3, 1.0, 0.5), grid, kernel, 2.0)
-    assert np.abs(ops.f_u).max() == 0.0
+    sig = const_sigma(3, 1.0, 0.5)
+    ops = solve_element(sig, grid, kernel, 2.0)
+    assert np.abs(ops.fhat_u).max() == 0.0
+    assert np.abs(ops.f_mean).max() == 0.0
     zero_in = np.zeros(ops.a_i2o.shape[1])
-    assert np.abs(ops.a_i2u @ zero_in).max() == 0.0
+    assert np.abs(element_solution(sig, grid, kernel, 2.0, zero_in)).max() == 0.0
 
 
 def test_singular_local_matrix_reports_element():
     # advection alone annihilates constants: (B=0, C, M=S=0) is singular
     grid = build_angular_grid(4)
     kernel = scattering_kernel_matrix(grid, 0.0)
-    mats = assemble_local(const_sigma(1, 0.0, 0.0), grid, kernel, 2.0)
-    broken = LocalMatrices(b=np.zeros_like(mats.b), bhat=mats.bhat, c=mats.c,
-                           m=mats.m, s=mats.s, f=mats.f, p=mats.p, h=mats.h)
+    terms = oracle_terms(const_sigma(1, 0.0, 0.0), grid, kernel, 2.0)
+    broken = np.asfortranarray(-terms.c)
     with pytest.raises(SolverFailure, match="17"):
-        local_solve(broken, element_index=17)
+        local_solve(broken, np.asfortranarray(-terms.bhat), element_index=17)
 
 
 def test_extract_shapes_full_scale():
@@ -114,11 +189,12 @@ def test_constant_transport_identity(desk):
     # contributes 1/N_a per node
     grid, kernel = desk
     p = 3
-    ops = solve_element(const_sigma(p, 0.0, 0.0), grid, kernel, 2.0)
+    sig = const_sigma(p, 0.0, 0.0)
+    ops = solve_element(sig, grid, kernel, 2.0)
     tm = element_trace_map(p, grid)
     a_star = 1
     uin = (tm.inflow_ang == a_star).astype(float)
-    u = (ops.a_i2u @ uin).reshape((p + 1) ** 2, grid.n_elems)
+    u = element_solution(sig, grid, kernel, 2.0, uin).reshape((p + 1) ** 2, grid.n_elems)
     np.testing.assert_allclose(u[:, a_star], 1.0, atol=1e-12)
     assert np.abs(np.delete(u, a_star, axis=1)).max() < 1e-12
     m = ops.a_i2m @ uin
@@ -134,7 +210,6 @@ def test_beer_lambert_characteristics():
     kernel = scattering_kernel_matrix(grid, 0.8)
     sigma_e = 0.5  # sigma_e * h = 1 on the reference element
     sig = SigmaField(np.full((p + 1, p + 1), sigma_e), np.zeros((p + 1, p + 1)))
-    ops = solve_element(sig, grid, kernel, 2.0)
     tm = element_trace_map(p, grid)
     q = lgl_quadrature(p)
     a0 = 0  # element (0, 2pi/28): inflow faces are left and bottom
@@ -148,7 +223,7 @@ def test_beer_lambert_characteristics():
         elif tm.inflow_face[k] == 2:    # bottom face: data consistent with
             xk = q.nodes[tm.inflow_node[k]]   # the 1D decay profile
             uin[k] = np.exp(-sigma_e * (xk + 1.0) / cbar)
-    u = (ops.a_i2u @ uin).reshape(p + 1, p + 1, grid.n_elems)
+    u = element_solution(sig, grid, kernel, 2.0, uin).reshape(p + 1, p + 1, grid.n_elems)
     expected = np.exp(-sigma_e * (q.nodes + 1.0) / cbar)
     assert np.abs(u[:, :, a0] - expected[:, None]).max() < 1e-6
 
@@ -161,10 +236,9 @@ def test_scaling_identity(desk):
     p, h = 3, 0.4
     sig = rng.uniform(0.0, 8.0, (p + 1, p + 1))
     f = rng.uniform(-1.0, 1.0, (p + 1, p + 1))
-    a1, f1 = local_solve(assemble_local(
-        SigmaField.from_scattering(sig, 1.0), grid, kernel, h, f=f))
-    a2, f2 = local_solve(assemble_local(
-        SigmaField.from_scattering(h * sig / 2, 1.0), grid, kernel, 2.0, f=h * f / 2))
+    a1, f1 = interior_responses(SigmaField.from_scattering(sig, 1.0), grid, kernel, h, f=f)
+    a2, f2 = interior_responses(SigmaField.from_scattering(h * sig / 2, 1.0), grid, kernel,
+                                2.0, f=h * f / 2)
     assert np.abs(a1 - a2).max() < 1e-12 * np.abs(a2).max()
     assert np.abs(f1 - f2).max() < 1e-12 * max(np.abs(f2).max(), 1e-30)
 
@@ -186,36 +260,38 @@ def test_element_energy_balance(desk):
 
 
 def test_hybridization_exactness_single_element(desk):
-    # recovering u from (A_i2u, f_u) with uhat set to the boundary data
-    # reproduces the monolithic single-element DG solution
+    # re-solving u with uhat set to the boundary data reproduces the
+    # monolithic single-element DG solution
     grid, kernel = desk
     rng = np.random.default_rng(21)
     p = 2
     sig = SigmaField.from_scattering(rng.uniform(0, 4, (p + 1, p + 1)), 1.0)
     f = rng.uniform(0, 1, (p + 1, p + 1))
-    mats = assemble_local(sig, grid, kernel, 2.0, f=f)
-    a_i2u, f_u = local_solve(mats)
     tm = element_trace_map(p, grid)
     ghat = rng.uniform(0, 1, tm.n_in)
-    u_hybrid = a_i2u @ ghat + f_u
-    a = mats.b - mats.c + mats.m - mats.s
-    u_dg = np.linalg.solve(a, mats.f - mats.bhat @ ghat)
+    u_hybrid = element_solution(sig, grid, kernel, 2.0, ghat, f=f)
+    terms = oracle_terms(sig, grid, kernel, 2.0, f=f)
+    u_dg = np.linalg.solve(terms.a, terms.f - terms.bhat @ ghat)
     assert np.abs(u_hybrid - u_dg).max() < 1e-12 * max(1.0, np.abs(u_dg).max())
 
 
 def test_extract_consistency(desk):
+    # the kept operators are the outflow rows and angular averages of the
+    # full responses
     grid, kernel = desk
     rng = np.random.default_rng(1)
     p = 2
     sig = SigmaField.from_scattering(rng.uniform(0, 3, (p + 1, p + 1)), 0.9)
     f = rng.uniform(0, 1, (p + 1, p + 1))
-    mats = assemble_local(sig, grid, kernel, 1.5, f=f)
-    a_i2u, f_u = local_solve(mats)
+    ops = solve_element(sig, grid, kernel, 1.5, f=f)
+    a_i2u, f_u = interior_responses(sig, grid, kernel, 1.5, f=f)
     tm = element_trace_map(p, grid)
-    ops = extract_operators(a_i2u, f_u, tm, grid)
-    np.testing.assert_array_equal(ops.a_i2o, a_i2u[tm.outflow_vol, :])
-    np.testing.assert_array_equal(ops.fhat_u, f_u[tm.outflow_vol])
+    np.testing.assert_allclose(ops.a_i2o, a_i2u[tm.outflow_vol, :], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ops.fhat_u, f_u[tm.outflow_vol], rtol=0, atol=1e-14)
     resh = a_i2u.reshape((p + 1) ** 2, grid.n_elems, tm.n_in)
     np.testing.assert_allclose(ops.a_i2m,
                                np.tensordot(grid.mean_weights, resh, axes=(0, 1)),
+                               atol=1e-15)
+    np.testing.assert_allclose(ops.f_mean,
+                               f_u.reshape((p + 1) ** 2, grid.n_elems) @ grid.mean_weights,
                                atol=1e-15)
