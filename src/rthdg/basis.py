@@ -6,6 +6,7 @@ modal<->nodal transform against the Legendre basis. All 2D element quantities
 elsewhere in the package are tensor products of these 1D objects.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,17 @@ class ModalNodalTransform:
     """Legendre-coefficient <-> LGL-nodal-value change of basis.
 
     forward maps modal coefficients to nodal values (column m is L_m sampled
-    at the LGL nodes); inverse is its matrix inverse.
+    at the LGL nodes); inverse is its matrix inverse. Both are read-only:
+    `modal_nodal_transform` hands the same instance to every caller.
     """
 
     degree: int
     forward: np.ndarray
     inverse: np.ndarray
+
+    def __post_init__(self):
+        self.forward.setflags(write=False)
+        self.inverse.setflags(write=False)
 
 
 def lgl_quadrature(p: int) -> Quadrature1D:
@@ -133,8 +139,9 @@ def differentiation_matrix(q: Quadrature1D) -> np.ndarray:
     return d
 
 
+@functools.lru_cache(maxsize=16)
 def modal_nodal_transform(p: int) -> ModalNodalTransform:
-    """Transform between Legendre coefficients and LGL nodal values."""
+    """Transform between Legendre coefficients and LGL nodal values (cached per p)."""
     if p < 1:
         raise ValueError(f"modal/nodal transform needs degree p >= 1, got {p}")
     q = lgl_quadrature(p)

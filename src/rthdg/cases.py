@@ -140,25 +140,23 @@ def ingest_cloud_raster(path, extents) -> CloudRaster:
 def sigma_nodal_fields(cfg: CaseConfig, mesh: Mesh, p: int) -> list:
     """Per-element nodal SigmaFields of a configured case."""
     q = lgl_quadrature(p)
-    fields = []
     raster = None
     if cfg.case == "i3rc" or cfg.raster_path is not None:
         if cfg.raster_path is None:
             raise ValueError("the realistic cloud case needs a raster path")
         raster = ingest_cloud_raster(cfg.raster_path, (mesh.lx, mesh.ly))
-    for e in range(mesh.n_elems):
-        x0, y0 = mesh.elem_origin(e)
-        xs = x0 + 0.5 * mesh.hx * (q.nodes + 1.0)
-        ys = y0 + 0.5 * mesh.hy * (q.nodes + 1.0)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        if raster is not None:
-            ss = cfg.sigma_scale * raster.interp(gx, gy)
-        else:
-            case = 2 if cfg.case.endswith("2") else 1
-            ss = idealized_sigma(case, gx, gy, cloud=cfg.cloud,
-                                 extents=(mesh.lx, mesh.ly))
-        fields.append(SigmaField.from_scattering(ss, cfg.omega))
-    return fields
+    # node coordinates of every element at once, shape (n_elems, p+1, p+1)
+    iy, ix = np.divmod(np.arange(mesh.n_elems), mesh.nx)
+    xs = (ix * mesh.hx)[:, None] + 0.5 * mesh.hx * (q.nodes + 1.0)
+    ys = (iy * mesh.hy)[:, None] + 0.5 * mesh.hy * (q.nodes + 1.0)
+    gx = np.broadcast_to(xs[:, :, None], (mesh.n_elems, p + 1, p + 1))
+    gy = np.broadcast_to(ys[:, None, :], (mesh.n_elems, p + 1, p + 1))
+    if raster is not None:
+        ss = cfg.sigma_scale * raster.interp(gx, gy)
+    else:
+        case = 2 if cfg.case.endswith("2") else 1
+        ss = idealized_sigma(case, gx, gy, cloud=cfg.cloud, extents=(mesh.lx, mesh.ly))
+    return [SigmaField.from_scattering(s, cfg.omega) for s in ss]
 
 
 def build_beam_bc(cfg: CaseConfig, grid: AngularGrid):

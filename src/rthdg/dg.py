@@ -3,12 +3,20 @@
 The global system stacks the element balances (B - C + M - S) and replaces
 the inflow face coupling by the upwind neighbor trace (interior faces) or the
 prescribed inflow radiance (boundary faces, moved to the right-hand side).
-Volume and face quadrature are identical to the element-local module, so DG
-and HDG discretize the same algebraic problem.
+B - C is the element-local module's cached `transport_base`, and volume and
+face quadrature are identical to that module's, so DG and HDG discretize the
+same algebraic problem.
 
-The solver is left-preconditioned GMRES; the preconditioner is a sparse
-direct factorization of the advection-extinction subsystem (the system with
-the scattering block dropped), which is exact when sigma_s = 0.
+The solver is left-preconditioned GMRES. The preconditioner P is A without
+the scattering between different angles: it keeps advection, extinction,
+each angle's own scattering and the upwind face coupling, and it equals A
+when sigma_s = 0. The face coupling of angle a reaches only the downwind
+neighbors' blocks of angle a, so with each (element, angle) block numbered
+by its wavefront step kx + ky, counted from the angle's inflow corner, P is
+block lower triangular. P^-1 r is therefore one exact upwind sweep: per
+step, gather, subtract the upwind couplings, apply the inverted
+(p+1)^2-blocks in one batched matmul, and scatter. No global factorization
+is formed.
 """
 
 from dataclasses import dataclass, field
@@ -19,17 +27,22 @@ import scipy.sparse.linalg
 
 from .angular import AngularGrid, PhaseKernel
 from .basis import lgl_quadrature
+from .errors import SolverFailure
 from .hybrid import GMRES_RESTART, ElementNodalField, restarted_gmres
 from .local import SigmaField, reference_kernels
 from .mesh import Mesh
 
+#: 1-norm condition number beyond which a sweep block counts as singular
+_SINGULAR_COND = 1e14
+
 
 @dataclass
 class DgSystem:
-    """Assembled DG residual r(u) = A u - b plus the transport preconditioner."""
+    """Assembled DG residual r(u) = A u - b plus the pieces of the sweep preconditioner."""
 
     matrix: scipy.sparse.csr_matrix
-    transport: scipy.sparse.csr_matrix  # scattering dropped
+    coupling: scipy.sparse.csr_matrix  # the upwind face couplings of matrix
+    block_shift: np.ndarray  # (n_elems, N_a, (p+1)^2): M - S_aa on each block's diagonal
     b: np.ndarray
     mesh: Mesh
     grid: AngularGrid
@@ -40,11 +53,87 @@ class DgSystem:
     def n_dofs(self) -> int:
         return self.b.size
 
-    def preconditioner(self):
-        """Sparse LU of the advection-extinction subsystem (cached)."""
+    def preconditioner(self) -> "UpwindSweep":
+        """The sweep that applies P^-1 (cached)."""
         if self._precond is None:
-            self._precond = scipy.sparse.linalg.splu(self.transport.tocsc())
+            self._precond = UpwindSweep(self)
         return self._precond
+
+
+class UpwindSweep:
+    """Exact inverse of the angle-block part P of a DgSystem, as one sweep.
+
+    L is the upwind face coupling (CSR); U holds the inverted (element,
+    angle) blocks as a block-diagonal matrix in sweep order.
+    """
+
+    def __init__(self, system: DgSystem):
+        mesh, na = system.mesh, system.grid.n_elems
+        n_sp = (system.p + 1) ** 2
+        # wavefront step of block (e, a), counted from angle a's inflow corner
+        # (the sign rule of assemble_dg's face coupling)
+        iy, ix = np.divmod(np.arange(mesh.n_elems), mesh.nx)
+        kx = np.where(system.grid.cos_int > 0, ix[:, None], mesh.nx - 1 - ix[:, None])
+        ky = np.where(system.grid.sin_int > 0, iy[:, None], mesh.ny - 1 - iy[:, None])
+        step = (kx + ky).reshape(-1)  # block id e * N_a + a
+        order = np.argsort(step, kind="stable")
+        bounds = np.searchsorted(step[order], np.arange(mesh.nx + mesh.ny))
+        elem, ang = np.divmod(order, na)
+
+        inv = _invert_blocks(sweep_blocks(system, order), elem, ang)
+        self.L = system.coupling
+        self.U = scipy.sparse.bsr_matrix(
+            (inv, np.arange(order.size), np.arange(order.size + 1)),
+            shape=(system.n_dofs, system.n_dofs))
+        rows = elem[:, None] * n_sp * na + np.arange(n_sp)[None, :] * na + ang[:, None]
+        self._n_sp = n_sp
+        self._steps = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            step_rows = rows[lo:hi].reshape(-1)
+            self._steps.append((step_rows, self.L[step_rows], self.U.data[lo:hi]))
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """P^-1 r: blocks of one wavefront step depend only on the step before."""
+        r = np.ravel(r)
+        x = np.zeros(r.size)
+        for rows, upwind, inv in self._steps:
+            rhs = r[rows] - upwind @ x
+            x[rows] = np.matmul(inv, rhs.reshape(-1, self._n_sp, 1)).reshape(-1)
+        return x
+
+
+def sweep_blocks(system: DgSystem, ids: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of P with ids e * N_a + a, shape (len(ids), n_sp, n_sp).
+
+    Block (e, a) couples the DOFs e * n_vol + n * N_a + a over the nodes n:
+    the angle-a block of B - C plus the extinction and self-scattering
+    diagonal M - S_aa.
+    """
+    na = system.grid.n_elems
+    n_sp = (system.p + 1) ** 2
+    base = reference_kernels(system.p, system.grid).transport_base(
+        system.mesh.hx, system.mesh.hy)
+    # B - C couples no two angles: its block of angle a is base[n*na + a, m*na + a]
+    base_blocks = np.einsum("iaja->aij", base.reshape(n_sp, na, n_sp, na))
+    elem, ang = np.divmod(ids, na)
+    blocks = base_blocks[ang]
+    np.einsum("kii->ki", blocks)[...] += system.block_shift[elem, ang]
+    return blocks
+
+
+def _invert_blocks(blocks: np.ndarray, elem: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of sweep blocks; SolverFailure names a singular one."""
+    try:
+        inv = np.linalg.inv(blocks)
+        cond = (np.abs(blocks).sum(axis=1).max(axis=1)
+                * np.abs(inv).sum(axis=1).max(axis=1))
+        bad = np.flatnonzero(~(cond < _SINGULAR_COND))
+    except np.linalg.LinAlgError:  # an exactly zero pivot: its block has det 0
+        bad = [int(np.argmin(np.abs(np.linalg.det(blocks))))]
+    if len(bad):
+        k = bad[0]
+        raise SolverFailure(f"singular DG sweep block on element {elem[k]}, angle {ang[k]}")
+    return inv
 
 
 @dataclass
@@ -74,11 +163,10 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
     vol_scale = half_x * half_y
     q = lgl_quadrature(p)
 
-    # sigma-independent per-element patterns
-    diag_base = half_y * ref.b_diag_vert + half_x * ref.b_diag_horz
-    c_dense = half_y * ref.cx_vol + half_x * ref.cy_vol
-    c_rows, c_cols = np.nonzero(c_dense)
-    c_vals = c_dense[c_rows, c_cols]
+    # sigma-independent per-element pattern of B - C
+    base = ref.transport_base(hx, hy)
+    t_rows, t_cols = np.nonzero(base)
+    t_vals = base[t_rows, t_cols]
     # scattering block pattern: rows (n, a), cols (n, a') for every node n
     n_idx = np.repeat(np.arange(n_sp), na * na)
     aa = np.tile(np.repeat(np.arange(na), na), n_sp)
@@ -86,19 +174,17 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
     s_rows = n_idx * na + aa
     s_cols = n_idx * na + bb
     s_pvals = np.tile(kernel.kernel.reshape(-1), n_sp)
+    k_diag = np.diag(kernel.kernel)
 
-    rows, cols, vals = [], [], []
-    rows_t, cols_t, vals_t = [], [], []  # transport-only copy
+    rows, cols, vals = [], [], []  # element balances
+    f_rows, f_cols, f_vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    block_shift = np.empty((mesh.n_elems, na, n_sp))
     b_vec = np.zeros(n_dofs)
 
-    def put(r, c, v, transport=True):
+    def put(r, c, v):
         rows.append(r)
         cols.append(c)
         vals.append(v)
-        if transport:
-            rows_t.append(r)
-            cols_t.append(c)
-            vals_t.append(v)
 
     all_vol = np.arange(n_vol)
     for e in range(mesh.n_elems):
@@ -108,11 +194,12 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
             raise ValueError(f"element {e}: expected SigmaField, got {type(sig)!r}")
         se = sig.sigma_e.reshape(n_sp)
         ss = sig.sigma_s.reshape(n_sp)
-        m_diag = vol_scale * np.outer(ref.w2 * se, grid.widths).reshape(-1)
-        put(off + all_vol, off + all_vol, diag_base + m_diag)
-        put(off + c_rows, off + c_cols, -c_vals)
+        m_diag = vol_scale * np.outer(ref.w2 * se, grid.widths)
         s_coef = vol_scale * ref.w2 * ss
-        put(off + s_rows, off + s_cols, -(s_coef[n_idx] * s_pvals), transport=False)
+        block_shift[e] = (m_diag - np.outer(s_coef, k_diag)).T
+        put(off + t_rows, off + t_cols, t_vals)
+        put(off + all_vol, off + all_vol, m_diag.reshape(-1))
+        put(off + s_rows, off + s_cols, -(s_coef[n_idx] * s_pvals))
         if f is not None and f[e] is not None:
             fe = np.asarray(f[e], float)
             b_vec[off:off + n_vol] += vol_scale * np.outer(
@@ -147,7 +234,9 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
             vals_fa = half_t * q.weights * sn
             r = down * n_vol + down_nodes * na + a
             if up >= 0:
-                put(r, up * n_vol + upwind_nodes * na + a, vals_fa)
+                f_rows.append(r)
+                f_cols.append(up * n_vol + upwind_nodes * na + a)
+                f_vals.append(vals_fa)
             elif g is not None:
                 fixed_coord, span_start = mesh.face_span(fid)
                 h_span = hy if axis == 0 else hx
@@ -165,9 +254,9 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
             shape=(n_dofs, n_dofs))
         return coo.tocsr()
 
-    return DgSystem(matrix=build(rows, cols, vals),
-                    transport=build(rows_t, cols_t, vals_t),
-                    b=b_vec, mesh=mesh, grid=grid, p=p)
+    return DgSystem(matrix=build(rows + f_rows, cols + f_cols, vals + f_vals),
+                    coupling=build(f_rows, f_cols, f_vals),
+                    block_shift=block_shift, b=b_vec, mesh=mesh, grid=grid, p=p)
 
 
 def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART):
@@ -176,9 +265,9 @@ def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART):
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not np.any(system.b):
         return np.zeros(system.n_dofs), DgSolveInfo(iterations=0)
-    lu = system.preconditioner()
+    sweep = system.preconditioner()
     mop = scipy.sparse.linalg.LinearOperator(
-        (system.n_dofs, system.n_dofs), matvec=lu.solve)
+        (system.n_dofs, system.n_dofs), matvec=sweep.solve)
     x, residuals = restarted_gmres(system.matrix, system.b, tol, restart, "DG", M=mop)
     return x, DgSolveInfo(iterations=len(residuals), residuals=residuals)
 

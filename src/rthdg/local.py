@@ -37,7 +37,7 @@ from scipy.linalg import lapack
 from .angular import AngularGrid, PhaseKernel
 from .basis import differentiation_matrix, lgl_quadrature
 from .errors import SolverFailure
-from .mesh import FACE_LEFT, FACE_RIGHT, ElementTraceMap
+from .mesh import FACE_LEFT, FACE_RIGHT, ElementTraceMap, element_trace_map
 
 _SINGULAR_RCOND = 1e-14
 #: element sizes whose B - C stays cached per (p, grid)
@@ -107,7 +107,7 @@ class _ReferenceKernels:
         self.cx_vol = np.kron(np.kron(adv1, w1), np.diag(grid.cos_int))
         self.cy_vol = np.kron(np.kron(w1, adv1), np.diag(grid.sin_int))
         self.w2 = np.kron(w, w)  # node = ix*(p+1)+iy
-        self.tracemap = ElementTraceMap(p, grid)
+        self.tracemap = element_trace_map(p, grid)
         tm = self.tracemap
         n_vol = (p + 1) ** 2 * grid.n_elems
         vert = np.isin(tm.outflow_face, (FACE_LEFT, FACE_RIGHT))
@@ -286,8 +286,3 @@ def element_solution(sigma: SigmaField, grid: AngularGrid, kernel: PhaseKernel,
         rhs += forcing_vector(f, p, grid, (hx, hy))[:, None]
     x = local_solve(a, rhs, element_index=element_index)
     return x.reshape((ref.n_vol,) + uhat_in.shape[1:])
-
-
-def element_trace_map(p: int, grid: AngularGrid) -> ElementTraceMap:
-    """Shared (cached) canonical trace map for (p, grid)."""
-    return reference_kernels(p, grid).tracemap

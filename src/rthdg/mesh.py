@@ -14,6 +14,7 @@ Both elements sharing an interior face enumerate its nodes identically, so a
 trace DOF has one global index regardless of the sampling side.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +176,19 @@ class ElementTraceMap:
         setattr(self, f"{tag}flow_flux", slots["flux"][idx])
 
 
+_trace_map_cache: dict[tuple, ElementTraceMap] = {}
+_trace_map_lock = threading.Lock()
+
+
+def element_trace_map(p: int, grid: AngularGrid) -> ElementTraceMap:
+    """Shared (cached) canonical trace map for (p, grid)."""
+    key = (p, grid.n_elems, grid.p_a)
+    with _trace_map_lock:
+        if key not in _trace_map_cache:
+            _trace_map_cache[key] = ElementTraceMap(p, grid)
+        return _trace_map_cache[key]
+
+
 @dataclass(frozen=True)
 class SkeletonIndex:
     """Global numbering of the hybrid trace DOFs over the mesh skeleton."""
@@ -225,7 +239,7 @@ class SkeletonIndex:
 
 def skeleton_numbering(mesh: Mesh, grid: AngularGrid, p: int) -> SkeletonIndex:
     """Dense contiguous hybrid numbering plus per-element gather lists."""
-    tracemap = ElementTraceMap(p, grid)
+    tracemap = element_trace_map(p, grid)
     n1, na = p + 1, grid.n_elems
     n_per_face = n1 * na
     n_dofs = mesh.n_faces * n_per_face

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rthdg import datagen
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
 from rthdg.basis import modal_nodal_transform
 from rthdg.datagen import (DiscretizationConfig, SamplerConfig,
@@ -66,6 +67,17 @@ def test_smoothness_monotonicity():
             frac.append(energy[m_idx].sum() / energy.sum())
         fractions.append(np.mean(frac))
     assert fractions[0] > fractions[1] > fractions[2]
+
+
+def test_cached_transform_keeps_labels_bitwise(monkeypatch):
+    cached = generate_dataset(DESK_SAMPLER, DESK_DISC, 20, seed=0)
+    t = modal_nodal_transform(3)
+    assert modal_nodal_transform(3) is t
+    assert not t.forward.flags.writeable and not t.inverse.flags.writeable
+    monkeypatch.setattr(datagen, "modal_nodal_transform", modal_nodal_transform.__wrapped__)
+    fresh = generate_dataset(DESK_SAMPLER, DESK_DISC, 20, seed=0)
+    assert np.array_equal(cached.inputs, fresh.inputs)
+    assert np.array_equal(cached.labels, fresh.labels)
 
 
 def test_generate_dataset_split_and_meta():

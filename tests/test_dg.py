@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rthdg import dg as dgm
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
-from rthdg.local import SigmaField, assemble_local, forcing_vector
+from rthdg.errors import SolverFailure
+from rthdg.local import SigmaField, assemble_local, forcing_vector, reference_kernels
 from rthdg.mesh import build_mesh
 
 
@@ -83,6 +86,80 @@ def test_preconditioner_exact_without_scattering():
     assert info.iterations == 1
     resid = system.matrix @ u - system.b
     assert np.abs(resid).max() < 1e-10 * np.abs(system.b).max()
+
+
+def random_sigmas(rng, n_elems, p, se_max):
+    """Nodal fields with sigma_s <= sigma_e."""
+    out = []
+    for _ in range(n_elems):
+        se = rng.uniform(0, se_max, (p + 1, p + 1))
+        out.append(SigmaField(se, se * rng.uniform(0, 1, (p + 1, p + 1))))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4), p=st.integers(1, 3),
+       na=st.sampled_from([4, 8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_is_exact_inverse_of_angle_blocks(nx, ny, p, na, seed):
+    # P is A without the scattering between different angles; the sweep applies P^-1
+    rng = np.random.default_rng(seed)
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, rng.uniform(0, 0.9))
+    mesh = build_mesh(rng.uniform(0.5, 3) * nx, rng.uniform(0.5, 3) * ny, nx, ny)
+    system = dgm.assemble_dg(mesh, grid, kernel, random_sigmas(rng, nx * ny, p, 20.0), p)
+    ang = np.arange(system.n_dofs) % na
+    p_dense = system.matrix.toarray() * (ang[:, None] == ang[None, :])
+    r = rng.standard_normal(system.n_dofs)
+    x_ref = np.linalg.solve(p_dense, r)
+    x = system.preconditioner().solve(r)
+    assert np.abs(x - x_ref).max() < 1e-12 * np.abs(x_ref).max()
+
+
+def test_sweep_blocks_are_local_angle_blocks():
+    rng = np.random.default_rng(12)
+    p, na = 3, 8
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, 0.8)
+    mesh = build_mesh(3.0, 1.0, 3, 2)
+    sigmas = random_sigmas(rng, 6, p, 50.0)
+    system = dgm.assemble_dg(mesh, grid, kernel, sigmas, p)
+    n_sp = (p + 1) ** 2
+    blocks = dgm.sweep_blocks(system, np.arange(6 * na)).reshape(6, na, n_sp, n_sp)
+    for e, sig in enumerate(sigmas):
+        a_local = assemble_local(sig, grid, kernel, (mesh.hx, mesh.hy))
+        a_local = a_local.reshape(n_sp, na, n_sp, na)
+        for a in range(na):
+            ref = a_local[:, a, :, a]
+            assert np.abs(blocks[e, a] - ref).max() < 1e-14 * np.abs(ref).max()
+    sweep = system.preconditioner()
+    assert sweep.U.nnz == 6 * na * n_sp ** 2
+    assert sweep.L.nnz == system.coupling.nnz > 0
+
+
+def test_singular_sweep_block_names_element_and_angle():
+    # sigma_s > sigma_e can make a block singular: on a 2 x 2 element (unit
+    # volume scale) the angle-0 block is T_0 + diag(w2) (sigma_e w_0 -
+    # sigma_s K_00), singular when sigma_s K_00 - sigma_e w_0 is a real
+    # eigenvalue of diag(w2)^-1 T_0
+    p, na = 1, 4
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, 0.5)
+    ref = reference_kernels(p, grid)
+    n_sp = (p + 1) ** 2
+    t0 = np.asarray(ref.transport_base(2.0, 2.0)).reshape(n_sp, na, n_sp, na)[:, 0, :, 0]
+    eig = np.linalg.eigvals(t0 / ref.w2[:, None])
+    mu = eig[np.abs(eig.imag) < 1e-12].real.min()
+    ones = np.ones((p + 1, p + 1))
+    sigmas = [SigmaField(ones, ones), SigmaField(0 * ones, mu / kernel.kernel[0, 0] * ones)]
+    system = dgm.assemble_dg(build_mesh(4.0, 2.0, 2, 1), grid, kernel, sigmas, p,
+                             g=beam_bc(grid, 0))
+    blocks = dgm.sweep_blocks(system, np.arange(2 * na)).reshape(2, na, n_sp, n_sp)
+    singular = [a for a in range(na) if np.linalg.cond(blocks[1, a]) > 1e14]
+    assert 0 in singular
+    assert all(np.linalg.cond(blocks[0, a]) < 1e3 for a in range(na))
+    with pytest.raises(SolverFailure) as err:
+        dgm.solve_dg(system)
+    assert any(f"element 1, angle {a}" in str(err.value) for a in singular)
 
 
 def test_gmres_matches_dense_with_scattering():
