@@ -1,7 +1,7 @@
 """Angular discretization of the unit circle and Henyey-Greenstein scattering.
 
 The direction space is parameterized by theta in [0, 2*pi), partitioned into
-N_a uniform angular elements with piecewise-constant (p_a = 0) approximation.
+N_a uniform angular elements with piecewise-constant approximation.
 N_a must be divisible by 4 so that, for axis-aligned face normals, every
 angular element is entirely inflow or entirely outflow.
 """
@@ -23,7 +23,6 @@ class AngularGrid:
     """Uniform partition of [0, 2*pi) into n_elems angular elements."""
 
     n_elems: int
-    p_a: int
     boundaries: np.ndarray  # (n_elems + 1,)
 
     @property
@@ -89,17 +88,15 @@ class PhaseKernel:
     transfer: np.ndarray
 
 
-def build_angular_grid(n_a: int, p_a: int = 0) -> AngularGrid:
+def build_angular_grid(n_a: int) -> AngularGrid:
     """Uniform angular partition with element count n_a (divisible by 4)."""
     if n_a < 4 or n_a % 4 != 0:
         raise ValueError(
             f"angular element count must be >= 4 and divisible by 4, got {n_a} "
             "(an element would straddle a face's inflow/outflow boundary)"
         )
-    if p_a != 0:
-        raise NotImplementedError("only piecewise-constant angular elements (p_a = 0)")
     boundaries = TWO_PI * np.arange(n_a + 1) / n_a
-    return AngularGrid(n_elems=n_a, p_a=p_a, boundaries=boundaries)
+    return AngularGrid(n_elems=n_a, boundaries=boundaries)
 
 
 def hg_normalization(g_asym: float) -> float:

@@ -26,8 +26,8 @@ from .hybrid import (ElementNodalField, assemble_hybrid, project_boundary,
                      recover_mean_intensity, relative_l2_error, solve_hybrid)
 from .local import solve_element
 from .mesh import build_mesh, refinement_schedule, skeleton_numbering
-from .surrogate import (DESK_SCHEDULE, MlpModel, init_mlp, model_fingerprint,
-                        predict_local_ops_batch, save_model, train)
+from .surrogate import (DEFAULT_SCHEDULE, DESK_SCHEDULE, MlpModel, init_mlp,
+                        model_fingerprint, predict_local_ops_batch, save_model, train)
 
 METHODS = ("dg", "hdg", "hdg-el")
 
@@ -87,7 +87,7 @@ def build_problem(cfg: CaseConfig, level: int | None = None) -> Problem:
     level = cfg.level if level is None else level
     nx, ny = refinement_schedule(schedule_tag(cfg.case), level)
     mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
-    grid = build_angular_grid(cfg.n_a, cfg.p_a)
+    grid = build_angular_grid(cfg.n_a)
     kernel = scattering_kernel_matrix(grid, cfg.g_asym)
     index = skeleton_numbering(mesh, grid, cfg.p)
     sigma_fields = sigma_nodal_fields(cfg, mesh, cfg.p)
@@ -300,7 +300,6 @@ class TrainConfig:
 
     p: int = 3
     n_a: int = 8
-    p_a: int = 0
     omega: float = 1.0
     g_asym: float = 0.8
     n_samp: int = 200
@@ -312,8 +311,7 @@ class TrainConfig:
     seed: int = 0
 
 
-FULL_SCALE_TRAIN = TrainConfig(p=6, n_a=28, n_samp=1000,
-                          schedule=((3000, 1e-3), (3000, 1e-4), (3000, 1e-5)))
+FULL_SCALE_TRAIN = TrainConfig(p=6, n_a=28, n_samp=1000, schedule=DEFAULT_SCHEDULE)
 
 
 def train_pipeline(tcfg: TrainConfig, out_dir, dataset=None, log_every: int = 0):
@@ -326,12 +324,11 @@ def train_pipeline(tcfg: TrainConfig, out_dir, dataset=None, log_every: int = 0)
     if dataset is None:
         sampler = SamplerConfig(p_x=tcfg.p, p_y=tcfg.p, c_sm=tcfg.c_sm,
                                 a_sigma=tcfg.a_sigma)
-        disc = DiscretizationConfig(p=tcfg.p, n_a=tcfg.n_a, p_a=tcfg.p_a,
-                                    omega=tcfg.omega, g_asym=tcfg.g_asym)
+        disc = DiscretizationConfig(p=tcfg.p, n_a=tcfg.n_a, omega=tcfg.omega,
+                                    g_asym=tcfg.g_asym)
         dataset = generate_dataset(sampler, disc, tcfg.n_samp, seed=tcfg.seed)
         save_dataset(dataset, out_dir / "dataset.npz")
-    model = init_mlp(tcfg.p, tcfg.p, tcfg.n_a, tcfg.p_a,
-                     n_layers=tcfg.n_layers, seed=tcfg.seed)
+    model = init_mlp(tcfg.p, tcfg.p, tcfg.n_a, n_layers=tcfg.n_layers, seed=tcfg.seed)
     model.meta.update({"schedule": [list(s) for s in tcfg.schedule],
                        "dataset_fingerprint": dataset.meta.get("fingerprint"),
                        "train_config": asdict(tcfg)})

@@ -55,7 +55,6 @@ class CaseConfig:
     g_asym: float = 0.8
     p: int = 6
     n_a: int = 28
-    p_a: int = 0
     beam_index: int = 23          # 1-based angular element of the collimated beam
     beam_amplitude: float | None = None  # None -> N_a / (2 pi)
     level: int = 0
@@ -200,7 +199,7 @@ def default_config(case: str, **overrides) -> CaseConfig:
 
 
 _CONFIG_KEYS = {
-    "case", "lx", "ly", "omega", "g_asym", "p", "n_a", "p_a", "beam_index",
+    "case", "lx", "ly", "omega", "g_asym", "p", "n_a", "beam_index",
     "beam_amplitude", "level", "ref_level", "tol", "ref_tol", "sigma_scale",
     "seed", "cloud", "paths",
 }
@@ -209,7 +208,7 @@ _CONFIG_KEYS = {
 def load_case_config(path) -> CaseConfig:
     """Read a JSON case configuration.
 
-    Recognized keys: case, lx, ly, omega, g_asym, p, n_a, p_a, beam_index,
+    Recognized keys: case, lx, ly, omega, g_asym, p, n_a, beam_index,
     beam_amplitude, level, ref_level, tol, ref_tol, sigma_scale, seed,
     cloud {centers, radius, amplitude, width}, paths {cloud}.
     """

@@ -54,8 +54,7 @@ def _train_config(args) -> bench.TrainConfig:
 def cmd_gen_data(args) -> int:
     tcfg = _train_config(args)
     sampler = SamplerConfig(p_x=tcfg.p, p_y=tcfg.p, c_sm=tcfg.c_sm, a_sigma=tcfg.a_sigma)
-    disc = DiscretizationConfig(p=tcfg.p, n_a=tcfg.n_a, p_a=tcfg.p_a,
-                                omega=tcfg.omega, g_asym=tcfg.g_asym)
+    disc = DiscretizationConfig(p=tcfg.p, n_a=tcfg.n_a, omega=tcfg.omega, g_asym=tcfg.g_asym)
     ds = generate_dataset(sampler, disc, tcfg.n_samp, seed=tcfg.seed)
     save_dataset(ds, args.out)
     print(f"wrote {ds.inputs.shape[0]} samples ({ds.train_idx.size} train / "
@@ -70,8 +69,7 @@ def cmd_train(args) -> int:
         from .datagen import load_dataset
         dataset = load_dataset(args.dataset,
                                expect=DiscretizationConfig(
-                                   p=tcfg.p, n_a=tcfg.n_a, p_a=tcfg.p_a,
-                                   omega=tcfg.omega, g_asym=tcfg.g_asym))
+                                   p=tcfg.p, n_a=tcfg.n_a, omega=tcfg.omega, g_asym=tcfg.g_asym))
     model_path, csv_path, state = bench.train_pipeline(
         tcfg, args.out, dataset=dataset, log_every=args.log_every)
     last = state.history[-1]

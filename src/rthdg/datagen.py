@@ -24,8 +24,6 @@ from .local import SigmaField, solve_element
 from .surrogate import flatten_operators
 
 DATASET_FORMAT_VERSION = 1
-EXPONENT_SUM = "sum"          # (m/p_x)^2 + (n/p_y)^2, the decaying convention
-EXPONENT_PRINTED = "printed"  # (m/p_x)^2 - (n/p_y)^2, kept for auditability
 
 
 @dataclass(frozen=True)
@@ -36,13 +34,10 @@ class SamplerConfig:
     p_y: int
     c_sm: float = 2.0
     a_sigma: float = 10.0
-    exponent: str = EXPONENT_SUM
 
     def __post_init__(self):
         if self.c_sm < 0 or self.a_sigma <= 0:
             raise ValueError(f"need c_sm >= 0 and A_sigma > 0, got {(self.c_sm, self.a_sigma)}")
-        if self.exponent not in (EXPONENT_SUM, EXPONENT_PRINTED):
-            raise ValueError(f"unknown exponent convention {self.exponent!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,6 @@ class DiscretizationConfig:
 
     p: int
     n_a: int
-    p_a: int = 0
     omega: float = 1.0
     g_asym: float = 0.8
 
@@ -73,8 +67,7 @@ def sample_rng(seed: int, sample_index: int) -> np.random.Generator:
 def modal_decay(cfg: SamplerConfig) -> np.ndarray:
     m = np.arange(cfg.p_x + 1)[:, None] / cfg.p_x
     n = np.arange(cfg.p_y + 1)[None, :] / cfg.p_y
-    sign = 1.0 if cfg.exponent == EXPONENT_SUM else -1.0
-    return np.exp(-cfg.c_sm * (m ** 2 + sign * n ** 2))
+    return np.exp(-cfg.c_sm * (m ** 2 + n ** 2))
 
 
 class _DegenerateSample(Exception):
@@ -119,7 +112,7 @@ def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
         raise ValueError(f"need at least 5 samples for a meaningful split, got {n_samp}")
     if sampler.p_x != disc.p or sampler.p_y != disc.p:
         raise ValueError("sampler degrees must match the label discretization")
-    grid = build_angular_grid(disc.n_a, disc.p_a)
+    grid = build_angular_grid(disc.n_a)
     kernel = scattering_kernel_matrix(grid, disc.g_asym)
     inputs = None
     labels = None

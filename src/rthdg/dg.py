@@ -1,11 +1,16 @@
 """Monolithic upwind DG solver: the baseline method and the equivalence oracle.
 
-The global system stacks the element balances (B - C + M - S) and replaces
-the inflow face coupling by the upwind neighbor trace (interior faces) or the
-prescribed inflow radiance (boundary faces, moved to the right-hand side).
-B - C is the element-local module's cached `transport_base`, and volume and
-face quadrature are identical to that module's, so DG and HDG discretize the
-same algebraic problem.
+The global system stacks the element balances B - C + M - S and couples each
+inflow trace slot to the volume DOF of the upwind element that produces that
+trace (interior faces) or to the prescribed inflow radiance (boundary faces,
+moved to the right-hand side). Every term comes from the element-local and
+skeleton modules: B - C is `local`'s cached `transport_base`, with M and S
+added on one sparsity pattern shared by every element; the face coupling
+values are `local`'s inflow coupling Bhat, placed through the trace map and
+`mesh.skeleton_numbering` (a trace DOF on an interior face is an outflow
+slot of exactly one element, the upwind one); the boundary data is
+`hybrid.project_boundary`; the forcing is `local.forcing_vector`. DG and HDG therefore discretize the same
+algebraic problem and differ only in how they solve it.
 
 The solver is left-preconditioned GMRES. The preconditioner P is A without
 the scattering between different angles: it keeps advection, extinction,
@@ -26,11 +31,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .angular import AngularGrid, PhaseKernel
-from .basis import lgl_quadrature
 from .errors import SolverFailure
-from .hybrid import GMRES_RESTART, ElementNodalField, restarted_gmres
-from .local import SigmaField, reference_kernels
-from .mesh import Mesh
+from .hybrid import GMRES_RESTART, ElementNodalField, project_boundary, restarted_gmres
+from .local import SigmaField, forcing_vector, reference_kernels
+from .mesh import Mesh, skeleton_numbering
 
 #: 1-norm condition number beyond which a sweep block counts as singular
 _SINGULAR_COND = 1e14
@@ -70,8 +74,9 @@ class UpwindSweep:
     def __init__(self, system: DgSystem):
         mesh, na = system.mesh, system.grid.n_elems
         n_sp = (system.p + 1) ** 2
-        # wavefront step of block (e, a), counted from angle a's inflow corner
-        # (the sign rule of assemble_dg's face coupling)
+        # wavefront step of block (e, a), counted from angle a's inflow corner:
+        # by the trace map's outflow mask, angle a leaves through the right
+        # face when cos_int[a] > 0 and through the top face when sin_int[a] > 0
         iy, ix = np.divmod(np.arange(mesh.n_elems), mesh.nx)
         kx = np.where(system.grid.cos_int > 0, ix[:, None], mesh.nx - 1 - ix[:, None])
         ky = np.where(system.grid.sin_int > 0, iy[:, None], mesh.ny - 1 - iy[:, None])
@@ -152,111 +157,72 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
     if len(sigma_fields) != mesh.n_elems:
         raise ValueError(f"need one SigmaField per element ({mesh.n_elems}), "
                          f"got {len(sigma_fields)}")
-    ref = reference_kernels(p, grid)
-    na = grid.n_elems
-    n1 = p + 1
-    n_sp = n1 * n1
-    n_vol = ref.n_vol
-    n_dofs = mesh.n_elems * n_vol
-    hx, hy = mesh.hx, mesh.hy
-    half_x, half_y = 0.5 * hx, 0.5 * hy
-    vol_scale = half_x * half_y
-    q = lgl_quadrature(p)
-
-    # sigma-independent per-element pattern of B - C
-    base = ref.transport_base(hx, hy)
-    t_rows, t_cols = np.nonzero(base)
-    t_vals = base[t_rows, t_cols]
-    # scattering block pattern: rows (n, a), cols (n, a') for every node n
-    n_idx = np.repeat(np.arange(n_sp), na * na)
-    aa = np.tile(np.repeat(np.arange(na), na), n_sp)
-    bb = np.tile(np.arange(na), n_sp * na)
-    s_rows = n_idx * na + aa
-    s_cols = n_idx * na + bb
-    s_pvals = np.tile(kernel.kernel.reshape(-1), n_sp)
-    k_diag = np.diag(kernel.kernel)
-
-    rows, cols, vals = [], [], []  # element balances
-    f_rows, f_cols, f_vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
-    block_shift = np.empty((mesh.n_elems, na, n_sp))
-    b_vec = np.zeros(n_dofs)
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    all_vol = np.arange(n_vol)
-    for e in range(mesh.n_elems):
-        off = e * n_vol
-        sig = sigma_fields[e]
+    for e, sig in enumerate(sigma_fields):
         if not isinstance(sig, SigmaField):
             raise ValueError(f"element {e}: expected SigmaField, got {type(sig)!r}")
-        se = sig.sigma_e.reshape(n_sp)
-        ss = sig.sigma_s.reshape(n_sp)
-        m_diag = vol_scale * np.outer(ref.w2 * se, grid.widths)
-        s_coef = vol_scale * ref.w2 * ss
-        block_shift[e] = (m_diag - np.outer(s_coef, k_diag)).T
-        put(off + t_rows, off + t_cols, t_vals)
-        put(off + all_vol, off + all_vol, m_diag.reshape(-1))
-        put(off + s_rows, off + s_cols, -(s_coef[n_idx] * s_pvals))
-        if f is not None and f[e] is not None:
-            fe = np.asarray(f[e], float)
-            b_vec[off:off + n_vol] += vol_scale * np.outer(
-                ref.w2 * fe.reshape(n_sp), grid.widths).reshape(-1)
+    ref = reference_kernels(p, grid)
+    tm = ref.tracemap
+    index = skeleton_numbering(mesh, grid, p)
+    na, n_vol, n_el = grid.n_elems, ref.n_vol, mesh.n_elems
+    n_sp = (p + 1) ** 2
+    n_dofs = n_el * n_vol
+    h = (mesh.hx, mesh.hy)
+    vol_scale = 0.25 * mesh.hx * mesh.hy
+    offsets = np.arange(n_el) * n_vol
 
-    # upwind face couplings (+ boundary inflow data on the right-hand side)
-    flux_x = grid.cos_int
-    flux_y = grid.sin_int
-    mids = grid.midpoints
-    # volume nodes touching each local face, ordered along the face
-    nodes_left = np.arange(n1)
-    nodes_right = p * n1 + np.arange(n1)
-    nodes_bottom = np.arange(n1) * n1
-    nodes_top = np.arange(n1) * n1 + p
-    for fid in range(mesh.n_faces):
-        axis = mesh.face_axis[fid]
-        eminus, eplus = int(mesh.face_minus[fid]), int(mesh.face_plus[fid])
-        half_t = half_y if axis == 0 else half_x
-        flux = flux_x if axis == 0 else flux_y
-        dn_nodes, up_nodes = (nodes_left, nodes_right) if axis == 0 else (nodes_bottom, nodes_top)
-        for a in range(na):
-            if flux[a] > 0:
-                down, up = eplus, eminus
-                down_nodes, upwind_nodes = dn_nodes, up_nodes
-                sn = -flux[a]  # s . n on the downwind element's face
-            else:
-                down, up = eminus, eplus
-                down_nodes, upwind_nodes = up_nodes, dn_nodes
-                sn = flux[a]
-            if down < 0:
-                continue  # outflow through the domain boundary: no coupling
-            vals_fa = half_t * q.weights * sn
-            r = down * n_vol + down_nodes * na + a
-            if up >= 0:
-                f_rows.append(r)
-                f_cols.append(up * n_vol + upwind_nodes * na + a)
-                f_vals.append(vals_fa)
-            elif g is not None:
-                fixed_coord, span_start = mesh.face_span(fid)
-                h_span = hy if axis == 0 else hx
-                coords = span_start + 0.5 * h_span * (q.nodes + 1.0)
-                normal = ((1.0, 0.0) if flux[a] > 0 else (-1.0, 0.0)) if axis == 0 \
-                    else ((0.0, 1.0) if flux[a] > 0 else (0.0, -1.0))
-                normal = (-normal[0], -normal[1])  # outward normal of the downwind element
-                for j in range(n1):
-                    x, y = (fixed_coord, coords[j]) if axis == 0 else (coords[j], fixed_coord)
-                    b_vec[r[j]] -= vals_fa[j] * g(x, y, mids[a], normal)
+    # element balances B - C + M - S: one pattern for every element, the
+    # nonzeros of B - C plus every same-node angle pair (n, a), (n, a')
+    base = ref.transport_base(*h)
+    rows, cols = np.nonzero((base != 0) | np.kron(np.eye(n_sp, dtype=bool),
+                                                  np.ones((na, na), dtype=bool)))
+    node, ang = np.divmod(rows, na)
+    pair = np.flatnonzero(node == cols // na)
+    diag = np.flatnonzero(rows == cols)  # one per row, in row order
+    se = np.stack([sig.sigma_e.reshape(n_sp) for sig in sigma_fields])
+    s_coef = vol_scale * ref.w2 * np.stack([sig.sigma_s.reshape(n_sp) for sig in sigma_fields])
+    m_diag = vol_scale * ((ref.w2 * se)[:, :, None] * grid.widths)  # (n_el, n_sp, na)
+    vals = np.repeat(base[rows, cols][None, :], n_el, axis=0)
+    vals[:, diag] += m_diag.reshape(n_el, n_vol)
+    vals[:, pair] -= s_coef[:, node[pair]] * kernel.kernel[ang[pair], cols[pair] % na]
+    block_shift = (m_diag - s_coef[:, :, None] * np.diag(kernel.kernel)).transpose(0, 2, 1)
+    # element e's entries follow element e - 1's, rows.size further on
+    ptr = _row_pointer(rows, n_vol)
+    balances = scipy.sparse.csr_matrix(
+        (vals.reshape(-1), (offsets[:, None] + cols).reshape(-1),
+         np.append((ptr[:-1] + rows.size * np.arange(n_el)[:, None]).reshape(-1),
+                   n_el * rows.size)),
+        shape=(n_dofs, n_dofs))
 
-    def build(rr, cc, vv):
-        coo = scipy.sparse.coo_matrix(
-            (np.concatenate(vv), (np.concatenate(rr), np.concatenate(cc))),
-            shape=(n_dofs, n_dofs))
-        return coo.tocsr()
+    # upwind face coupling: inflow slot k of element e reads the volume DOF
+    # that owns its trace as an outflow slot (-1 for inflow boundary data)
+    owner = np.full(index.n_dofs, -1)
+    owner[index.elem_outflow] = offsets[:, None] + tm.outflow_vol
+    by_row = np.argsort(tm.inflow_vol, kind="stable")  # each element's rows ascend
+    in_rows = offsets[:, None] + tm.inflow_vol[by_row]
+    upwind = owner[index.elem_inflow[:, by_row]]
+    bhat = np.broadcast_to(ref.inflow_coupling(*h)[by_row], upwind.shape)
+    inner = upwind >= 0
+    coupling = scipy.sparse.csr_matrix(
+        (bhat[inner], upwind[inner], _row_pointer(in_rows[inner], n_dofs)),
+        shape=(n_dofs, n_dofs))
+    coupling.sort_indices()  # a corner row reads two upwind elements
 
-    return DgSystem(matrix=build(rows + f_rows, cols + f_cols, vals + f_vals),
-                    coupling=build(f_rows, f_cols, f_vals),
+    b_vec = np.zeros(n_dofs)
+    if f is not None:
+        for e in range(n_el):
+            if f[e] is not None:
+                b_vec[offsets[e]:offsets[e] + n_vol] += forcing_vector(f[e], p, grid, h)
+    if g is not None:
+        g_in = project_boundary(g, index).values[index.elem_inflow[:, by_row]]
+        np.add.at(b_vec, in_rows[~inner], -(bhat * g_in)[~inner])  # corners: two slots
+
+    return DgSystem(matrix=balances + coupling, coupling=coupling,
                     block_shift=block_shift, b=b_vec, mesh=mesh, grid=grid, p=p)
+
+
+def _row_pointer(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR indptr of entries listed in ascending row order."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
 
 
 def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART):
@@ -278,13 +244,3 @@ def dg_mean_intensity(u: np.ndarray, mesh: Mesh, grid: AngularGrid, p: int) -> E
     n_sp = n1 * n1
     vals = u.reshape(mesh.n_elems, n_sp, grid.n_elems) @ grid.mean_weights
     return ElementNodalField(mesh=mesh, p=p, values=vals.reshape(mesh.n_elems, n1, n1))
-
-
-def overrefined_reference(cfg, l_ref=None, tol=None):
-    """Reference mean intensity on the case's overrefined mesh (tight GMRES).
-
-    Defaults come from the case config (ref_level, ref_tol); a level
-    override is recorded in the returned metadata.
-    """
-    from .bench import compute_reference  # local import; bench builds problems
-    return compute_reference(cfg, l_ref=l_ref, tol=tol)

@@ -45,7 +45,8 @@ def project_boundary(g, index: SkeletonIndex) -> SkeletonState:
     """Project boundary radiance onto the inflow-boundary hybrid DOFs.
 
     g(x, y, theta, normal) is sampled at face LGL nodes and angular-element
-    midpoints (the collocation projection at p_a = 0); all other DOFs start
+    midpoints (the collocation projection onto piecewise-constant angular
+    elements); all other DOFs start
     at zero.
     """
     values = np.zeros(index.n_dofs)

@@ -151,7 +151,7 @@ _kernel_cache_lock = threading.Lock()
 
 
 def reference_kernels(p: int, grid: AngularGrid) -> _ReferenceKernels:
-    key = (p, grid.n_elems, grid.p_a)
+    key = (p, grid.n_elems)
     with _kernel_cache_lock:
         if key not in _kernel_cache:
             _kernel_cache[key] = _ReferenceKernels(p, grid)

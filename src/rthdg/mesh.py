@@ -182,7 +182,7 @@ _trace_map_lock = threading.Lock()
 
 def element_trace_map(p: int, grid: AngularGrid) -> ElementTraceMap:
     """Shared (cached) canonical trace map for (p, grid)."""
-    key = (p, grid.n_elems, grid.p_a)
+    key = (p, grid.n_elems)
     with _trace_map_lock:
         if key not in _trace_map_cache:
             _trace_map_cache[key] = ElementTraceMap(p, grid)
@@ -213,9 +213,9 @@ class SkeletonIndex:
     def boundary_inflow_records(self):
         """Per Dirichlet DOF: (dof, x, y, theta_mid, outward normal).
 
-        Used to sample boundary radiance; with p_a = 0 the projection of g
-        is nodal interpolation at the face LGL nodes and midpoint sampling
-        in angle.
+        Used to sample boundary radiance; the projection of g is nodal
+        interpolation at the face LGL nodes and midpoint sampling in angle
+        (piecewise-constant angular elements).
         """
         mesh, grid, p = self.mesh, self.grid, self.p
         n1, na = p + 1, grid.n_elems

@@ -35,18 +35,17 @@ DEFAULT_SCHEDULE = ((3000, 1e-3), (3000, 1e-4), (3000, 1e-5))
 DESK_SCHEDULE = ((300, 1e-3), (300, 1e-4), (300, 1e-5))
 
 
-def trace_count(p_x: int, p_y: int, n_a: int, p_a: int = 0) -> int:
+def trace_count(p_x: int, p_y: int, n_a: int) -> int:
     """Inflow (= outflow) trace slots of one element."""
-    return (p_x + p_y + 2) * n_a * (p_a + 1)
+    return (p_x + p_y + 2) * n_a
 
 
-def input_size(p_x: int, p_y: int, single_coeff: bool = True) -> int:
-    n = (p_x + 1) * (p_y + 1)
-    return n if single_coeff else 2 * n
+def input_size(p_x: int, p_y: int) -> int:
+    return (p_x + 1) * (p_y + 1)
 
 
-def output_size(p_x: int, p_y: int, n_a: int, p_a: int = 0) -> int:
-    n_tr = trace_count(p_x, p_y, n_a, p_a)
+def output_size(p_x: int, p_y: int, n_a: int) -> int:
+    n_tr = trace_count(p_x, p_y, n_a)
     return n_tr * (n_tr + (p_x + 1) * (p_y + 1))
 
 
@@ -57,34 +56,31 @@ class MlpModel:
     p_x: int
     p_y: int
     n_a: int
-    p_a: int
     dims: list
     weights: list
     biases: list
     activation: str = "elu"
-    single_coeff: bool = True
     meta: dict = field(default_factory=dict)
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def check_discretization(self, p_x, p_y, n_a, p_a=0):
-        if (self.p_x, self.p_y, self.n_a, self.p_a) != (p_x, p_y, n_a, p_a):
+    def check_discretization(self, p_x, p_y, n_a):
+        if (self.p_x, self.p_y, self.n_a) != (p_x, p_y, n_a):
             raise ModelMismatch(
-                f"model trained for (p_x={self.p_x}, p_y={self.p_y}, N_a={self.n_a}, "
-                f"p_a={self.p_a}); requested (p_x={p_x}, p_y={p_y}, N_a={n_a}, p_a={p_a})")
+                f"model trained for (p_x={self.p_x}, p_y={self.p_y}, N_a={self.n_a}); "
+                f"requested (p_x={p_x}, p_y={p_y}, N_a={n_a})")
 
 
-def init_mlp(p_x: int, p_y: int, n_a: int, p_a: int = 0, n_layers: int = 4,
-             seed: int = 0, single_coeff: bool = True) -> MlpModel:
+def init_mlp(p_x: int, p_y: int, n_a: int, n_layers: int = 4, seed: int = 0) -> MlpModel:
     """Initialize weights uniform on [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
     if n_layers < 1:
         raise ValueError(f"need at least one layer, got {n_layers}")
     if p_x < 1 or p_y < 1 or n_a < 4:
         raise ValueError(f"invalid dimensions (p_x={p_x}, p_y={p_y}, N_a={n_a})")
-    n_in = input_size(p_x, p_y, single_coeff)
-    n_out = output_size(p_x, p_y, n_a, p_a)
+    n_in = input_size(p_x, p_y)
+    n_out = output_size(p_x, p_y, n_a)
     dims = [n_in] + [2 * n_in] * (n_layers - 1) + [n_out]
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -92,9 +88,8 @@ def init_mlp(p_x: int, p_y: int, n_a: int, p_a: int = 0, n_layers: int = 4,
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpModel(p_x=p_x, p_y=p_y, n_a=n_a, p_a=p_a, dims=dims,
-                    weights=weights, biases=biases, single_coeff=single_coeff,
-                    meta={"seed": int(seed)})
+    return MlpModel(p_x=p_x, p_y=p_y, n_a=n_a, dims=dims,
+                    weights=weights, biases=biases, meta={"seed": int(seed)})
 
 
 def elu(z):
@@ -114,7 +109,8 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"input width {h.shape[1]} does not match model N_in={model.dims[0]}")
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b  # in place: no second (batch, N_out) temporary
         if i != last:
             h = elu(h)
     return h[0] if single else h
@@ -126,7 +122,8 @@ def _forward_cached(model, x):
     h = x
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         pre.append(z)
         h = elu(z) if i != last else z
         acts.append(h)
@@ -239,14 +236,11 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
     return state
 
 
-def surrogate_input(sigma: SigmaField, h: float, single_coeff: bool = True) -> np.ndarray:
-    """Rescaled nodal input vector (h sigma / 2) for a square element of size h."""
+def surrogate_input(sigma: SigmaField, h: float) -> np.ndarray:
+    """Rescaled nodal input vector (h sigma_s / 2) for a square element of size h."""
     if not np.isscalar(h):
         raise ValueError("the surrogate serves square elements only")
-    scale = 0.5 * float(h)
-    if single_coeff:
-        return scale * sigma.sigma_s.reshape(-1)
-    return scale * np.concatenate([sigma.sigma_e.reshape(-1), sigma.sigma_s.reshape(-1)])
+    return 0.5 * float(h) * sigma.sigma_s.reshape(-1)
 
 
 def flatten_operators(ops: LocalOperators) -> np.ndarray:
@@ -254,8 +248,8 @@ def flatten_operators(ops: LocalOperators) -> np.ndarray:
     return np.concatenate([ops.a_i2o.reshape(-1), ops.a_i2m.reshape(-1)])
 
 
-def unflatten_operators(y: np.ndarray, p_x: int, p_y: int, n_a: int, p_a: int = 0) -> LocalOperators:
-    n_tr = trace_count(p_x, p_y, n_a, p_a)
+def unflatten_operators(y: np.ndarray, p_x: int, p_y: int, n_a: int) -> LocalOperators:
+    n_tr = trace_count(p_x, p_y, n_a)
     n_sp = (p_x + 1) * (p_y + 1)
     if y.size != n_tr * n_tr + n_sp * n_tr:
         raise ValueError(f"output length {y.size} does not match the operator layout")
@@ -268,16 +262,16 @@ def unflatten_operators(y: np.ndarray, p_x: int, p_y: int, n_a: int, p_a: int = 
 def predict_local_ops(model: MlpModel, sigma: SigmaField, h: float) -> LocalOperators:
     """Surrogate replacement for the exact local pipeline (zero-forcing cases)."""
     p = sigma.sigma_s.shape[0] - 1
-    model.check_discretization(p, sigma.sigma_s.shape[1] - 1, model.n_a, model.p_a)
-    y = forward(model, surrogate_input(sigma, h, model.single_coeff))
-    return unflatten_operators(y, model.p_x, model.p_y, model.n_a, model.p_a)
+    model.check_discretization(p, sigma.sigma_s.shape[1] - 1, model.n_a)
+    y = forward(model, surrogate_input(sigma, h))
+    return unflatten_operators(y, model.p_x, model.p_y, model.n_a)
 
 
 def predict_local_ops_batch(model: MlpModel, sigmas, h: float) -> list:
     """Batched prediction for a list of elements (one forward pass)."""
-    x = np.stack([surrogate_input(s, h, model.single_coeff) for s in sigmas])
+    x = np.stack([surrogate_input(s, h) for s in sigmas])
     ys = forward(model, x)
-    return [unflatten_operators(y, model.p_x, model.p_y, model.n_a, model.p_a) for y in ys]
+    return [unflatten_operators(y, model.p_x, model.p_y, model.n_a) for y in ys]
 
 
 def model_fingerprint(model: MlpModel) -> str:
@@ -297,9 +291,9 @@ def save_model(model: MlpModel, path) -> None:
     act = model.activation.encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
+        # fixed header fields: angular degree p_a = 0, single-coefficient input = 1
         fh.write(struct.pack("<6IB", FORMAT_VERSION, model.p_x, model.p_y,
-                             model.n_a, model.p_a, model.n_layers,
-                             1 if model.single_coeff else 0))
+                             model.n_a, 0, model.n_layers, 1))
         fh.write(struct.pack("<B", len(act)))
         fh.write(act)
         fh.write(struct.pack("<I", len(model.dims)))
@@ -312,7 +306,7 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path, expect: tuple | None = None) -> MlpModel:
-    """Load a model file; expect = (p_x, p_y, n_a, p_a) enforces a match."""
+    """Load a model file; expect = (p_x, p_y, n_a) enforces a match."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != MAGIC:
@@ -323,6 +317,10 @@ def load_model(path, expect: tuple | None = None) -> MlpModel:
         off += struct.calcsize("<6IB")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported model format version {version}")
+        if p_a != 0:
+            raise FormatError(f"{path}: unsupported angular degree p_a={p_a}")
+        if single != 1:
+            raise FormatError(f"{path}: unsupported two-coefficient model input")
         (act_len,) = struct.unpack_from("<B", raw, off)
         off += 1
         activation = raw[off:off + act_len].decode()
@@ -348,9 +346,8 @@ def load_model(path, expect: tuple | None = None) -> MlpModel:
             raise FormatError(f"{path}: trailing bytes ({len(raw) - off})")
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: corrupt model file ({exc})") from exc
-    model = MlpModel(p_x=p_x, p_y=p_y, n_a=n_a, p_a=p_a, dims=dims,
-                     weights=weights, biases=biases, activation=activation,
-                     single_coeff=bool(single), meta=meta)
+    model = MlpModel(p_x=p_x, p_y=p_y, n_a=n_a, dims=dims,
+                     weights=weights, biases=biases, activation=activation, meta=meta)
     if expect is not None:
         model.check_discretization(*expect)
     return model

@@ -18,8 +18,7 @@ from rthdg.surrogate import init_mlp, load_model, save_model, train
 
 DESK_P = 3
 DESK_NA = 8
-DESK_DISC = DiscretizationConfig(p=DESK_P, n_a=DESK_NA, p_a=0, omega=1.0,
-                                 g_asym=0.8)
+DESK_DISC = DiscretizationConfig(p=DESK_P, n_a=DESK_NA, omega=1.0, g_asym=0.8)
 DESK_SAMPLER = SamplerConfig(p_x=DESK_P, p_y=DESK_P, c_sm=2.0, a_sigma=10.0)
 
 # tuned desk-scale protocols (see README): the short spec default plateaus
@@ -65,7 +64,7 @@ def _train_model(n_layers, dataset, schedule, batch_size, tag, fixture_times):
         if path.exists():
             return load_model(path)
     t0 = time.perf_counter()
-    model = init_mlp(DESK_P, DESK_P, DESK_NA, 0, n_layers=n_layers, seed=0)
+    model = init_mlp(DESK_P, DESK_P, DESK_NA, n_layers=n_layers, seed=0)
     state = train(model, dataset, schedule=schedule, batch_size=batch_size, seed=0)
     model.meta["test_mae"] = state.history[-1]["test_mae"]
     model.meta["train_mae_history"] = [h["train_mae"] for h in state.history]

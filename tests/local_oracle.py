@@ -4,7 +4,9 @@ Builds the five element terms B, Bhat, C, M, S as separate dense matrices,
 one scattering block per node in a Python loop, and inverts the balance
 with a general dense solve for every inflow column. `rthdg.local` assembles
 one matrix in place and solves only what it keeps; the tests compare the
-two.
+two. `oracle_dg` stacks these element terms into the dense DG system, with
+the upwind face coupling and the boundary data found by a loop over faces
+and angles.
 """
 
 from dataclasses import dataclass
@@ -87,3 +89,58 @@ def oracle_operators(sigma, grid, kernel, h, f=None) -> dict:
             "a_i2m": np.einsum("a,nak->nk", mw, a_i2u.reshape(n_sp, grid.n_elems, -1)),
             "fhat_u": f_u[tm.outflow_vol],
             "f_mean": f_u.reshape(n_sp, grid.n_elems) @ mw}
+
+
+def oracle_dg(mesh, grid, kernel, sigmas, p, f=None, g=None):
+    """Dense DG matrix and right-hand side, (A, b).
+
+    The diagonal blocks are the oracle element balances and the forcing is
+    the oracle's tested forcing. The face coupling loops over faces and
+    angles: the sign of cos_int (vertical faces) or sin_int (horizontal
+    faces) picks which of face_minus/face_plus is downwind, and the
+    downwind element's face row reads the upwind element's face nodes, or
+    the boundary radiance g sampled at the face's LGL nodes and the angular
+    midpoint. Neither the trace map nor the skeleton numbering is used.
+    """
+    na = grid.n_elems
+    n1 = p + 1
+    n_vol = n1 * n1 * na
+    n_dofs = mesh.n_elems * n_vol
+    a = np.zeros((n_dofs, n_dofs))
+    b = np.zeros(n_dofs)
+    for e, sig in enumerate(sigmas):
+        terms = oracle_terms(sig, grid, kernel, (mesh.hx, mesh.hy),
+                             f=None if f is None else f[e])
+        block = slice(e * n_vol, (e + 1) * n_vol)
+        a[block, block] = terms.a
+        b[block] = terms.f
+    q = lgl_quadrature(p)
+    j = np.arange(n1)
+    # volume nodes on a face, along it: (plus element's side, minus element's side)
+    face_nodes = {0: (j, p * n1 + j), 1: (j * n1, j * n1 + p)}
+    for fid in range(mesh.n_faces):
+        axis = int(mesh.face_axis[fid])
+        flux = grid.cos_int if axis == 0 else grid.sin_int
+        half_t = 0.5 * (mesh.hy if axis == 0 else mesh.hx)
+        plus_nodes, minus_nodes = face_nodes[axis]
+        for ang in range(na):
+            if flux[ang] > 0:  # flows from the minus into the plus element
+                down, up = mesh.face_plus[fid], mesh.face_minus[fid]
+                down_nodes, up_nodes, sign = plus_nodes, minus_nodes, -1.0
+            else:
+                down, up = mesh.face_minus[fid], mesh.face_plus[fid]
+                down_nodes, up_nodes, sign = minus_nodes, plus_nodes, 1.0
+            if down < 0:
+                continue  # outflow through the domain boundary
+            rows = down * n_vol + down_nodes * na + ang
+            vals = half_t * q.weights * (sign * flux[ang])  # s . n_out of the downwind face
+            if up >= 0:
+                a[rows, up * n_vol + up_nodes * na + ang] += vals
+            elif g is not None:
+                fixed, start = mesh.face_span(fid)
+                along = start + half_t * (q.nodes + 1.0)
+                normal = (sign, 0.0) if axis == 0 else (0.0, sign)
+                for k in range(n1):
+                    x, y = (fixed, along[k]) if axis == 0 else (along[k], fixed)
+                    b[rows[k]] -= vals[k] * g(x, y, grid.midpoints[ang], normal)
+    return a, b

@@ -300,7 +300,7 @@ def test_criterion_10_determinism(tmp_path):
     # solution fields.
     t0 = time.perf_counter()
     sampler = SamplerConfig(p_x=2, p_y=2, c_sm=2.0, a_sigma=10.0)
-    disc = DiscretizationConfig(p=2, n_a=8, p_a=0, omega=1.0, g_asym=0.8)
+    disc = DiscretizationConfig(p=2, n_a=8, omega=1.0, g_asym=0.8)
     ds1 = generate_dataset(sampler, disc, 12, seed=5)
     ds2 = generate_dataset(sampler, disc, 12, seed=5)
     checks = [

@@ -250,7 +250,7 @@ def test_train_pipeline_outputs(tmp_path):
     tcfg = bench.TrainConfig(p=2, n_a=8, n_samp=10, n_layers=2,
                              schedule=((3, 1e-3), (2, 1e-4)), batch_size=4)
     model_path, csv_path, state = bench.train_pipeline(tcfg, tmp_path)
-    model = load_model(model_path, expect=(2, 2, 8, 0))
+    model = load_model(model_path, expect=(2, 2, 8))
     assert model.meta["dataset_fingerprint"]
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))

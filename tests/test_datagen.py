@@ -12,7 +12,7 @@ from rthdg.local import SigmaField, solve_element
 from rthdg.surrogate import flatten_operators
 
 DESK_SAMPLER = SamplerConfig(p_x=3, p_y=3, c_sm=2.0, a_sigma=10.0)
-DESK_DISC = DiscretizationConfig(p=3, n_a=8, p_a=0, omega=1.0, g_asym=0.8)
+DESK_DISC = DiscretizationConfig(p=3, n_a=8, omega=1.0, g_asym=0.8)
 
 
 def test_sampler_validation():
@@ -20,8 +20,6 @@ def test_sampler_validation():
         SamplerConfig(p_x=3, p_y=3, c_sm=-1.0)
     with pytest.raises(ValueError):
         SamplerConfig(p_x=3, p_y=3, a_sigma=0.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(p_x=3, p_y=3, exponent="diff")
 
 
 def test_sample_range():
@@ -29,15 +27,6 @@ def test_sample_range():
         s = sample_sigma(DESK_SAMPLER, sample_rng(7, i))
         assert s.min() == 0.0  # positivity shift leaves an exact zero
         assert s.max() <= 10.0
-
-
-def test_printed_exponent_convention_kept():
-    cfg = SamplerConfig(p_x=3, p_y=3, c_sm=2.0, exponent="printed")
-    d = modal_decay(cfg)
-    # the verbatim difference form grows with the second index
-    assert d[0, 3] > d[0, 0]
-    d_sum = modal_decay(DESK_SAMPLER)
-    assert d_sum[0, 3] < d_sum[0, 0]
 
 
 def test_large_smoothness_kills_high_modes():
@@ -92,7 +81,7 @@ def test_generate_dataset_split_and_meta():
 
 def test_large_dataset_split_sizes():
     sampler = SamplerConfig(p_x=2, p_y=2, c_sm=2.0, a_sigma=10.0)
-    disc = DiscretizationConfig(p=2, n_a=4, p_a=0, omega=1.0, g_asym=0.8)
+    disc = DiscretizationConfig(p=2, n_a=4, omega=1.0, g_asym=0.8)
     ds = generate_dataset(sampler, disc, 1000, seed=5)
     assert ds.train_idx.size == 800
     assert ds.test_idx.size == 200
@@ -135,7 +124,7 @@ def test_dataset_io_header_mismatch(tmp_path):
     ds = generate_dataset(DESK_SAMPLER, DESK_DISC, 8, seed=1)
     path = tmp_path / "ds.npz"
     save_dataset(ds, path)
-    wrong = DiscretizationConfig(p=6, n_a=8, p_a=0, omega=1.0, g_asym=0.8)
+    wrong = DiscretizationConfig(p=6, n_a=8, omega=1.0, g_asym=0.8)
     with pytest.raises(FormatError):
         load_dataset(path, expect=wrong)
     with pytest.raises((FormatError, OSError)):

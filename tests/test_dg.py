@@ -9,6 +9,8 @@ from rthdg.errors import SolverFailure
 from rthdg.local import SigmaField, assemble_local, forcing_vector, reference_kernels
 from rthdg.mesh import build_mesh
 
+from local_oracle import oracle_dg
+
 
 def const_sigma(p, se, ss):
     return SigmaField(np.full((p + 1, p + 1), float(se)),
@@ -160,6 +162,31 @@ def test_singular_sweep_block_names_element_and_angle():
     with pytest.raises(SolverFailure) as err:
         dgm.solve_dg(system)
     assert any(f"element 1, angle {a}" in str(err.value) for a in singular)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4), p=st.integers(1, 3),
+       na=st.sampled_from([4, 8, 12]), seed=st.integers(0, 2 ** 32 - 1))
+def test_assembly_matches_dense_oracle(nx, ny, p, na, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, rng.uniform(0, 0.9))
+    mesh = build_mesh(rng.uniform(0.5, 3) * nx, rng.uniform(0.5, 3) * ny, nx, ny)
+    sigmas = random_sigmas(rng, nx * ny, p, 20.0)
+    # forcing on some elements, isotropic or per angle
+    shapes = [None, (p + 1, p + 1), (p + 1, p + 1, na)]
+    f = [None if k == 0 else rng.standard_normal(shapes[k])
+         for k in rng.integers(0, 3, nx * ny)]
+    c = rng.standard_normal(5)
+
+    def g(x, y, theta, normal):
+        return (c[0] * np.sin(x + c[1] * y) + np.cos(theta + c[2])
+                + c[3] * normal[0] + c[4] * normal[1])
+
+    system = dgm.assemble_dg(mesh, grid, kernel, sigmas, p, f=f, g=g)
+    a_ref, b_ref = oracle_dg(mesh, grid, kernel, sigmas, p, f=f, g=g)
+    assert np.abs(system.matrix.toarray() - a_ref).max() <= 1e-13 * np.abs(a_ref).max()
+    assert np.abs(system.b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
 
 def test_gmres_matches_dense_with_scattering():

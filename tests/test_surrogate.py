@@ -14,7 +14,6 @@ from rthdg.surrogate import (elu, flatten_operators, forward, init_mlp,
 
 def test_full_scale_sizes():
     assert input_size(6, 6) == 49
-    assert input_size(6, 6, single_coeff=False) == 98
     assert trace_count(6, 6, 28) == 392
     assert output_size(6, 6, 28) == 392 * 441 == 172872
 
@@ -207,8 +206,8 @@ def test_load_rejects_mismatched_header(tmp_path):
     path = tmp_path / "m.bin"
     save_model(model, path)
     with pytest.raises(ModelMismatch):
-        load_model(path, expect=(3, 3, 8, 0))
-    back = load_model(path, expect=(2, 2, 8, 0))
+        load_model(path, expect=(3, 3, 8))
+    back = load_model(path, expect=(2, 2, 8))
     assert back.n_layers == 2
 
 
@@ -223,6 +222,15 @@ def test_load_rejects_corrupt_file(tmp_path):
     (tmp_path / "bad2.bin").write_bytes(raw[:-16])
     with pytest.raises(FormatError):
         load_model(tmp_path / "bad2.bin")
+    # header after the magic: <6IB = version, p_x, p_y, n_a, p_a, n_layers, single_coeff
+    p_a_at, single_at = 8 + 4 * 4, 8 + 6 * 4
+    assert raw[p_a_at:p_a_at + 4] == bytes(4) and raw[single_at] == 1
+    (tmp_path / "bad3.bin").write_bytes(raw[:p_a_at] + b"\x01" + raw[p_a_at + 1:])
+    with pytest.raises(FormatError):
+        load_model(tmp_path / "bad3.bin")
+    (tmp_path / "bad4.bin").write_bytes(raw[:single_at] + b"\x00" + raw[single_at + 1:])
+    with pytest.raises(FormatError):
+        load_model(tmp_path / "bad4.bin")
 
 
 def test_fingerprint_changes_with_weights():
