@@ -181,7 +181,11 @@ def run_case(cfg: CaseConfig, method: str, level: int | None = None,
     if reference is not None:
         report.meta["reference_partition"] = [reference.mesh.nx, reference.mesh.ny]
     if model is not None:
-        report.meta["model_fingerprint"] = model_fingerprint(model)
+        # hashed once per model: `train` drops the cached value, `load_model`
+        # and `save_model` set it
+        if "fingerprint" not in model.meta:
+            model.meta["fingerprint"] = model_fingerprint(model)
+        report.meta["model_fingerprint"] = model.meta["fingerprint"]
 
     if method == "dg":
         t0 = time.perf_counter()

@@ -82,7 +82,7 @@ class HybridSystem:
         u = np.zeros(self.index.n_dofs)
         u[~self.index.dirichlet_mask] = v_free
         r = v_free.copy()
-        y = np.einsum("eij,ej->ei", self.a_i2o, u[self.in_idx])
+        y = np.matmul(self.a_i2o, u[self.in_idx][:, :, None])
         r[self.out_free.reshape(-1)] -= y.reshape(-1)
         return r
 
@@ -91,7 +91,7 @@ class HybridSystem:
         ug = np.zeros(self.index.n_dofs)
         fixed = self.index.dirichlet_mask
         ug[fixed] = bc.values[fixed]
-        y = np.einsum("eij,ej->ei", self.a_i2o, ug[self.in_idx]) + self.fhat
+        y = np.matmul(self.a_i2o, ug[self.in_idx][:, :, None])[:, :, 0] + self.fhat
         b = np.zeros(self.n_free)
         b[self.out_free.reshape(-1)] = y.reshape(-1)
         return b
@@ -256,7 +256,7 @@ def recover_mean_intensity(uhat: SkeletonState, ops_list, index: SkeletonIndex) 
     """Mean intensity m = A_i2m uhat_in + f_mean per element."""
     a = np.stack([ops.a_i2m for ops in ops_list])
     f = np.stack([ops.f_mean for ops in ops_list])
-    vals = np.einsum("eij,ej->ei", a, uhat.values[index.elem_inflow]) + f
+    vals = np.matmul(a, uhat.values[index.elem_inflow][:, :, None])[:, :, 0] + f
     p = index.p
     return ElementNodalField(mesh=index.mesh, p=p,
                              values=vals.reshape(index.mesh.n_elems, p + 1, p + 1))

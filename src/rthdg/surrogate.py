@@ -185,6 +185,7 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
     The recorded train MAE is the average of the minibatch losses seen
     during the epoch; the test MAE is a full evaluation of the held-out
     split at epoch end. Raises ArithmeticError if the loss goes non-finite.
+    Drops the model's cached fingerprint, since the weights change.
     """
     xs = dataset.inputs[dataset.train_idx]
     ys = dataset.labels[dataset.train_idx]
@@ -198,6 +199,7 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
                            v_w=[np.zeros_like(w) for w in model.weights],
                            m_b=[np.zeros_like(b) for b in model.biases],
                            v_b=[np.zeros_like(b) for b in model.biases])
+    model.meta.pop("fingerprint", None)
     rng = np.random.default_rng(seed)
     total_epochs = sum(n for n, _ in schedule)
     n_train = xs.shape[0]
@@ -275,19 +277,26 @@ def predict_local_ops_batch(model: MlpModel, sigmas, h: float) -> list:
 
 
 def model_fingerprint(model: MlpModel) -> str:
-    """SHA-256 over the weights/biases bytes in layer order."""
+    """SHA-256 over the weights/biases bytes in layer order (uncached).
+
+    The arrays are hashed through zero-copy byte views; the digest equals
+    the one over their `tobytes()` copies.
+    """
     digest = hashlib.sha256()
     for w, b in zip(model.weights, model.biases):
-        digest.update(np.ascontiguousarray(w).tobytes())
-        digest.update(np.ascontiguousarray(b).tobytes())
+        digest.update(memoryview(np.ascontiguousarray(w)).cast("B"))
+        digest.update(memoryview(np.ascontiguousarray(b)).cast("B"))
     return digest.hexdigest()
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Versioned binary container; round-trips bit-exactly."""
-    meta = dict(model.meta)
-    meta["fingerprint"] = model_fingerprint(model)
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    """Versioned binary container; round-trips bit-exactly.
+
+    The fingerprint is computed afresh from the weights, written to the
+    file's metadata and cached in `model.meta["fingerprint"]`.
+    """
+    model.meta["fingerprint"] = model_fingerprint(model)
+    meta_bytes = json.dumps(model.meta, sort_keys=True).encode()
     act = model.activation.encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -348,6 +357,8 @@ def load_model(path, expect: tuple | None = None) -> MlpModel:
         raise FormatError(f"{path}: corrupt model file ({exc})") from exc
     model = MlpModel(p_x=p_x, p_y=p_y, n_a=n_a, dims=dims,
                      weights=weights, biases=biases, activation=activation, meta=meta)
+    if meta.get("fingerprint") != model_fingerprint(model):
+        raise FormatError(f"{path}: weights do not match the stored fingerprint")
     if expect is not None:
         model.check_discretization(*expect)
     return model

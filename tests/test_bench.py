@@ -7,9 +7,10 @@ import pytest
 
 from rthdg import bench, cli, dg
 from rthdg.cases import CloudParams, default_config
+from rthdg.datagen import DiscretizationConfig, SamplerConfig, generate_dataset
 from rthdg.errors import ModelMismatch, SolverFailure
 from rthdg.hybrid import GMRES_RESTART
-from rthdg.surrogate import init_mlp, load_model, save_model
+from rthdg.surrogate import init_mlp, load_model, model_fingerprint, save_model, train
 
 DESK = default_config("idealized-1", p=2, n_a=8, beam_index=7, tol=1e-6,
                       cloud=CloudParams(width=0.4))
@@ -74,6 +75,63 @@ def test_hdg_el_runs_with_matching_model():
     ops = bench.surrogate_local_ops(prob, model)
     assert len(ops) == prob.mesh.n_elems
     assert ops[0].a_i2o.shape == (48, 48)
+
+
+def zeroed_model():
+    # predicts zero operators: hdg-el converges in one iteration
+    model = init_mlp(2, 2, 8, n_layers=1, seed=0)
+    model.weights[0][:] = 0.0
+    model.biases[0][:] = 0.0
+    return model
+
+
+def counting_fingerprint(monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return model_fingerprint(model)
+
+    monkeypatch.setattr(bench, "model_fingerprint", counted)
+    return calls
+
+
+def test_model_hashed_once_across_runs(monkeypatch, tmp_path):
+    calls = counting_fingerprint(monkeypatch)
+    model = zeroed_model()
+    assert "fingerprint" not in model.meta
+    reports = [bench.run_case(DESK, "hdg-el", level=0, model=model)[0] for _ in range(3)]
+    assert len(calls) == 1
+    assert {r.meta["model_fingerprint"] for r in reports} == {model_fingerprint(model)}
+    # a loaded model carries its verified fingerprint: no hash at run time
+    save_model(model, tmp_path / "m.bin")
+    bench.run_case(DESK, "hdg-el", level=0, model=load_model(tmp_path / "m.bin"))
+    assert len(calls) == 1
+
+
+def test_train_drops_cached_fingerprint(monkeypatch):
+    calls = counting_fingerprint(monkeypatch)
+    model = zeroed_model()
+    before = bench.run_case(DESK, "hdg-el", level=0, model=model)[0].meta["model_fingerprint"]
+    ds = generate_dataset(SamplerConfig(p_x=2, p_y=2), DiscretizationConfig(p=2, n_a=8),
+                          5, seed=0)
+    train(model, ds, schedule=((1, 1e-4),), batch_size=4)
+    after = bench.run_case(DESK, "hdg-el", level=0, model=model)[0].meta["model_fingerprint"]
+    assert len(calls) == 2
+    assert after == model_fingerprint(model) != before
+
+
+def test_fingerprint_digest_is_the_tobytes_digest():
+    # model files written before the zero-copy hash keep valid fingerprints;
+    # a Fortran-ordered weight is hashed in its C-order bytes as before
+    import hashlib
+    model = init_mlp(2, 2, 8, n_layers=3, seed=4)
+    model.weights[1] = np.asfortranarray(model.weights[1])
+    digest = hashlib.sha256()
+    for w, b in zip(model.weights, model.biases):
+        digest.update(w.tobytes())
+        digest.update(b.tobytes())
+    assert model_fingerprint(model) == digest.hexdigest()
 
 
 def test_workers_give_same_operators():
@@ -229,10 +287,7 @@ def test_i3rc_case_end_to_end(tmp_path):
     assert relative_l2_error(fld_h, fld_d) < 1e-8
     # plumbing smoke for the surrogate path: a zeroed model predicts zero
     # coupling, which the skeleton solve handles in a few iterations
-    model = init_mlp(2, 2, 8, n_layers=1, seed=0)
-    model.weights[0][:] = 0.0
-    model.biases[0][:] = 0.0
-    rep_e, _ = bench.run_case(cfg, "hdg-el", level=0, model=model, reference=ref)
+    rep_e, _ = bench.run_case(cfg, "hdg-el", level=0, model=zeroed_model(), reference=ref)
     assert rep_e.meta["sigma_scale"] == 1.0
 
 
@@ -276,6 +331,21 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["method"] == "hdg"
     assert (tmp_path / "out" / "hdg_l0_report.json").exists()
+
+
+def test_cli_run_records_model_file_fingerprint(tmp_path, capsys):
+    cfg = tmp_path / "case.json"
+    write_desk_config(cfg)
+    model = zeroed_model()
+    mpath = tmp_path / "m.bin"
+    save_model(model, mpath)
+    stored = load_model(mpath).meta["fingerprint"]
+    assert stored == model_fingerprint(model)
+    rc = cli.main(["run", "--config", str(cfg), "--method", "hdg-el", "--level", "0",
+                   "--model", str(mpath), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    record = json.loads((tmp_path / "out" / "hdg-el_l0_report.json").read_text())
+    assert record["meta"]["model_fingerprint"] == stored
 
 
 def test_cli_solver_stall_exit_3(tmp_path, capsys):

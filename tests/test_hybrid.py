@@ -94,6 +94,61 @@ def test_linear_part_at_zero_is_zero():
     assert np.abs(system.linear_action(np.zeros(system.n_free))).max() == 0.0
 
 
+def test_skeleton_apply_matches_element_loop():
+    # random 3x2 mesh with forcing (fhat_u != 0) and random Dirichlet data:
+    # the batched skeleton apply, right-hand side and mean-intensity recovery
+    # equal a per-element loop over every slot (corner slots appear twice
+    # per element, once per face)
+    rng = np.random.default_rng(5)
+    p, na = 2, 8
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, 0.8)
+    mesh = build_mesh(3.0, 2.0, 3, 2)
+    index = skeleton_numbering(mesh, grid, p)
+    sigmas = [SigmaField.from_scattering(rng.uniform(0, 4, (p + 1, p + 1)), 0.9)
+              for _ in range(mesh.n_elems)]
+    f = [rng.uniform(0, 1, (p + 1, p + 1)) for _ in range(mesh.n_elems)]
+    ops = exact_ops(mesh, grid, kernel, sigmas, f=f)
+    assert min(np.abs(o.fhat_u).max() for o in ops) > 0
+    tm = index.tracemap
+    assert np.unique(tm.outflow_vol).size < tm.n_out
+    system = assemble_hybrid(index, ops)
+    free = ~index.dirichlet_mask
+    fi = index.free_index
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    v = rng.standard_normal(system.n_free)
+    u = np.zeros(index.n_dofs)
+    u[free] = v
+    want = np.full(system.n_free, np.nan)
+    for e in range(mesh.n_elems):
+        y = ops[e].a_i2o @ u[index.elem_inflow[e]]
+        for k, dof in enumerate(index.elem_outflow[e]):
+            want[fi[dof]] = v[fi[dof]] - y[k]
+    assert not np.isnan(want).any()
+    close(system.linear_action(v), want)
+
+    # values on free DOFs must be ignored by the right-hand side
+    bc = SkeletonState(values=rng.uniform(0, 1, index.n_dofs),
+                       dirichlet_mask=index.dirichlet_mask.copy())
+    ug = np.where(index.dirichlet_mask, bc.values, 0.0)
+    want = np.full(system.n_free, np.nan)
+    for e in range(mesh.n_elems):
+        y = ops[e].a_i2o @ ug[index.elem_inflow[e]] + ops[e].fhat_u
+        for k, dof in enumerate(index.elem_outflow[e]):
+            want[fi[dof]] = y[k]
+    assert not np.isnan(want).any()
+    close(system.rhs(bc), want)
+
+    uhat = SkeletonState(values=rng.standard_normal(index.n_dofs),
+                         dirichlet_mask=index.dirichlet_mask.copy())
+    want = np.stack([ops[e].a_i2m @ uhat.values[index.elem_inflow[e]] + ops[e].f_mean
+                     for e in range(mesh.n_elems)])
+    close(recover_mean_intensity(uhat, ops, index).values.reshape(mesh.n_elems, -1), want)
+
+
 def test_missing_element_operators():
     grid = build_angular_grid(4)
     kernel = scattering_kernel_matrix(grid, 0.5)

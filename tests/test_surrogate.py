@@ -231,6 +231,15 @@ def test_load_rejects_corrupt_file(tmp_path):
     (tmp_path / "bad4.bin").write_bytes(raw[:single_at] + b"\x00" + raw[single_at + 1:])
     with pytest.raises(FormatError):
         load_model(tmp_path / "bad4.bin")
+    # one flipped bit in the first weight matrix: the layout still parses,
+    # the stored fingerprint does not match
+    weights_at = len(raw) - sum(w.nbytes + b.nbytes
+                                for w, b in zip(model.weights, model.biases))
+    flip = weights_at + 8 * 5 + 2
+    (tmp_path / "bad5.bin").write_bytes(raw[:flip] + bytes([raw[flip] ^ 1]) + raw[flip + 1:])
+    with pytest.raises(FormatError, match="fingerprint"):
+        load_model(tmp_path / "bad5.bin")
+    assert load_model(path).meta["fingerprint"] == model_fingerprint(model)
 
 
 def test_fingerprint_changes_with_weights():
