@@ -342,7 +342,7 @@ def train_pipeline(tcfg: TrainConfig, out_dir, dataset=None, log_every: int = 0)
     save_model(model, model_path)
     csv_path = out_dir / "training_curve.csv"
     with open(csv_path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["epoch", "lr", "train_mae", "test_mae"])
+        w = csv.DictWriter(fh, fieldnames=["epoch", "lr", "train_mae", "test_mae", "seconds"])
         w.writeheader()
         for rec in state.history:
             w.writerow(rec)

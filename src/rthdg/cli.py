@@ -75,6 +75,8 @@ def cmd_train(args) -> int:
     last = state.history[-1]
     print(f"model: {model_path}\ncurve: {csv_path}")
     print(f"final train MAE {last['train_mae']:.3e}, test MAE {last['test_mae']:.3e}")
+    step_ms = 1e3 * sum(h["seconds"] for h in state.history) / state.step
+    print(f"{state.step} Adam steps, {step_ms:.2f} ms per step (test evaluation included)")
     return EXIT_OK
 
 

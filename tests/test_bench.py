@@ -309,7 +309,7 @@ def test_train_pipeline_outputs(tmp_path):
     assert model.meta["dataset_fingerprint"]
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["epoch", "lr", "train_mae", "test_mae"]
+    assert list(rows[0]) == ["epoch", "lr", "train_mae", "test_mae", "seconds"]
     assert len(rows) == 5
     assert (tmp_path / "dataset.npz").exists()
 
@@ -390,6 +390,16 @@ def test_cli_gen_data_and_train(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "train" / "model.bin").exists()
     assert (tmp_path / "train" / "training_curve.csv").exists()
+
+
+def test_cli_train_prints_step_time_and_keeps_it_out_of_the_model(tmp_path, capsys):
+    argv = ["train", "--p", "2", "--n-a", "8", "--n-samp", "8", "--n-layers", "1",
+            "--epochs", "2", "--batch-size", "4"]
+    for run in ("a", "b"):
+        assert cli.main(argv + ["--out", str(tmp_path / run)]) == 0
+        assert "ms per step" in capsys.readouterr().out
+    assert ((tmp_path / "a" / "model.bin").read_bytes()
+            == (tmp_path / "b" / "model.bin").read_bytes())
 
 
 def test_cli_dataset_mismatch_exit_2(tmp_path, capsys):

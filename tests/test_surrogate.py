@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from rthdg.errors import FormatError, ModelMismatch
 from rthdg.local import SigmaField
-from rthdg.surrogate import (elu, flatten_operators, forward, init_mlp,
-                             input_size, load_model, mae_gradients, mae_loss,
-                             model_fingerprint, output_size, predict_local_ops,
-                             save_model, surrogate_input, trace_count, train,
+from rthdg.surrogate import (_ADAM_CHUNK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                             TrainState, _adam_step, elu, flatten_operators,
+                             forward, init_mlp, input_size, load_model,
+                             mae_gradients, mae_loss, model_fingerprint,
+                             output_size, predict_local_ops, save_model,
+                             surrogate_input, trace_count, train,
                              unflatten_operators)
 
 
@@ -149,6 +152,115 @@ def test_train_determinism():
         models.append(m)
     for wa, wb in zip(models[0].weights, models[1].weights):
         np.testing.assert_array_equal(wa, wb)
+
+
+def reference_adam_step(param, grad, mom, vel, lr, corr1, corr2):
+    """The whole-array Adam update that `_adam_step` reproduces bit for bit."""
+    mom *= ADAM_BETA1
+    mom += (1 - ADAM_BETA1) * grad
+    vel *= ADAM_BETA2
+    vel += (1 - ADAM_BETA2) * grad * grad
+    param -= lr * (mom / corr1) / (np.sqrt(vel / corr2) + ADAM_EPS)
+
+
+def laid_out(values, layout):
+    """`values` copied into a C-ordered, Fortran-ordered or strided array."""
+    if layout == "C":
+        return np.ascontiguousarray(values)
+    if layout == "F":
+        return np.asfortranarray(values)
+    big = np.zeros(tuple(2 * n for n in values.shape))
+    view = big[tuple(slice(None, None, -2) for _ in values.shape)]
+    view[...] = values
+    return view
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("shape", [(1,), (_ADAM_CHUNK - 1,), (_ADAM_CHUNK,), (_ADAM_CHUNK + 1,),
+                                   (3 * _ADAM_CHUNK + 5,), (3, _ADAM_CHUNK + 1),
+                                   (_ADAM_CHUNK - 1, 3), (7, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_adam_step_bitwise_equals_reference(shape, layout):
+    rng = np.random.default_rng(sum(shape))
+    scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
+    param = laid_out(rng.standard_normal(shape), layout)
+    mom = laid_out(np.zeros(shape), layout)
+    vel = laid_out(np.zeros(shape), layout)
+    ref_param, ref_mom, ref_vel = param.copy(), mom.copy(), vel.copy()
+    for t, lr in enumerate((1e-3, 1e-3, 1e-4), start=1):
+        grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)
+        corr1, corr2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+        _adam_step(param, grad, mom, vel, lr, corr1, corr2, scratch)
+        reference_adam_step(ref_param, grad, ref_mom, ref_vel, lr, corr1, corr2)
+        assert np.array_equal(param, ref_param)
+        assert np.array_equal(mom, ref_mom)
+        assert np.array_equal(vel, ref_vel)
+
+
+def test_adam_step_allocates_no_parameter_sized_buffer():
+    n = 1 << 20
+    rng = np.random.default_rng(0)
+    param, grad, mom, vel = rng.standard_normal((4, 8, n // 8))
+    vel = np.abs(vel)
+    scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
+    tracemalloc.start()
+    try:
+        _adam_step(param, grad, mom, vel, 1e-3, 0.1, 0.001, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_train_peak_memory_below_five_and_a_half_parameter_sizes():
+    # the moments and one gradient are parameter-sized; the whole-array Adam
+    # expression added about one more parameter size of temporaries (6.1x)
+    ds = SimpleNamespace(inputs=np.random.default_rng(6).uniform(0, 10, (6, 16)),
+                         labels=np.zeros((6, 5120)), train_idx=np.arange(6),
+                         test_idx=np.array([], dtype=int))
+    model = init_mlp(3, 3, 8)
+    nbytes = sum(a.nbytes for a in model.weights + model.biases)
+    tracemalloc.start()
+    try:
+        train(model, ds, schedule=((3, 1e-3),), batch_size=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * nbytes
+
+
+def test_train_updates_fortran_ordered_weight_in_place():
+    model = init_mlp(3, 3, 8, n_layers=3, seed=4)
+    model.weights[1] = np.asfortranarray(model.weights[1])
+    initial = [a.copy() for a in model.weights + model.biases]
+    state = train(model, one_sample_dataset(3), schedule=((1, 1e-3),), batch_size=1, seed=0)
+    assert state.step == 1
+    for start, a in zip(initial, model.weights + model.biases):
+        assert not np.array_equal(a, start)
+    assert state.history[0]["seconds"] > 0
+
+
+def zero_state(model):
+    zeros = [[np.zeros_like(a) for a in arrays]
+             for arrays in (model.weights, model.weights, model.biases, model.biases)]
+    return TrainState(((1, 1e-3),), *zeros)
+
+
+def transposed_moment_state():
+    state = zero_state(init_mlp(3, 3, 8, n_layers=3))
+    state.v_w[2] = np.ascontiguousarray(state.v_w[2].T)  # same size, other shape
+    return state
+
+
+@pytest.mark.parametrize("other, message", [
+    (lambda: zero_state(init_mlp(2, 2, 8, n_layers=3)), "layer 0"),
+    (lambda: zero_state(init_mlp(3, 3, 8, n_layers=2)), "2 weight moments"),
+    (transposed_moment_state, "layer 2: weight"),
+], ids=["other-degree", "fewer-layers", "transposed-moment"])
+def test_train_rejects_state_that_does_not_fit(other, message):
+    model = init_mlp(3, 3, 8, n_layers=3)
+    with pytest.raises(ValueError, match=message):
+        train(model, one_sample_dataset(), schedule=((1, 1e-3),), state=other())
 
 
 def test_surrogate_input_scaling():
