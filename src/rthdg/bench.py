@@ -9,9 +9,7 @@ All clocks are monotonic wall time.
 import csv
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,8 +22,9 @@ from .datagen import DiscretizationConfig, SamplerConfig, generate_dataset, save
 from .errors import ModelMismatch
 from .hybrid import (ElementNodalField, assemble_hybrid, project_boundary,
                      recover_mean_intensity, relative_l2_error, solve_hybrid)
-from .local import solve_element
+from .local import ElementOperators, solve_element
 from .mesh import build_mesh, refinement_schedule, skeleton_numbering
+from .pool import default_workers, run_blocks, split
 from .surrogate import (DEFAULT_SCHEDULE, DESK_SCHEDULE, MlpModel, init_mlp,
                         model_fingerprint, predict_local_ops_batch, save_model, train)
 
@@ -96,59 +95,32 @@ def build_problem(cfg: CaseConfig, level: int | None = None) -> Problem:
                    index=index, sigma_fields=sigma_fields, g=g)
 
 
-#: environment variables that set the BLAS thread pool, in the order OpenBLAS reads them
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def default_workers() -> int:
-    """Element workers that never oversubscribe: usable cores / BLAS threads.
-
-    The BLAS thread count comes from the first of BLAS_THREAD_VARS that is
-    set. When none is set (or it does not parse), BLAS owns every core and
-    the default is 1 worker.
-    """
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value:
-            break
-    else:
-        return 1
-    try:
-        blas_threads = int(value)
-    except ValueError:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:  # pragma: no cover - platforms without affinity masks
-        cores = os.cpu_count() or 1
-    return max(1, cores // max(blas_threads, 1))
-
-
-def exact_local_ops(problem: Problem, workers: int | None = None, f=None) -> list:
+def exact_local_ops(problem: Problem, workers: int | None = None, f=None) -> ElementOperators:
     """Exact local-solver creation for every element.
 
     The elements are split into `workers` contiguous blocks, each solved on
-    its own thread (the dense kernels release the interpreter lock);
-    workers=None takes `default_workers()`.
+    a thread of the element pool (the dense kernels release the interpreter
+    lock) into one preallocated ElementOperators; workers=None takes
+    `default_workers()`.
     """
     mesh, grid, kernel = problem.mesh, problem.grid, problem.kernel
     h = (mesh.hx, mesh.hy)
+    tm = problem.index.tracemap
     workers = default_workers() if workers is None else workers
+    ops = ElementOperators.empty(mesh.n_elems, tm.n_out, tm.n_in, (problem.cfg.p + 1) ** 2)
 
-    def solve_block(block):
-        return [solve_element(problem.sigma_fields[e], grid, kernel, h,
-                              f=None if f is None else f[e], element_index=int(e))
-                for e in block]
+    def solve_block(lo, hi):
+        for e in range(lo, hi):
+            ops[e] = solve_element(problem.sigma_fields[e], grid, kernel, h,
+                                   f=None if f is None else f[e], element_index=e)
 
-    blocks = np.array_split(np.arange(mesh.n_elems), max(1, min(workers, mesh.n_elems)))
-    if len(blocks) == 1:
-        return solve_block(blocks[0])
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        return [ops for part in pool.map(solve_block, blocks) for ops in part]
+    run_blocks(solve_block, split(mesh.n_elems, workers), workers)
+    return ops
 
 
-def surrogate_local_ops(problem: Problem, model: MlpModel) -> list:
-    """Surrogate local-operator creation (one batched forward pass)."""
+def surrogate_local_ops(problem: Problem, model: MlpModel,
+                        workers: int | None = None) -> ElementOperators:
+    """Surrogate local-operator creation (one batched forward pass on `workers` threads)."""
     mesh = problem.mesh
     if abs(mesh.hx - mesh.hy) > 1e-12 * max(mesh.hx, mesh.hy):
         raise ValueError("the surrogate serves square elements only "
@@ -157,7 +129,7 @@ def surrogate_local_ops(problem: Problem, model: MlpModel) -> list:
         raise ModelMismatch(
             f"model (p={model.p_x}, N_a={model.n_a}) does not match the problem "
             f"(p={problem.cfg.p}, N_a={problem.grid.n_elems})")
-    return predict_local_ops_batch(model, problem.sigma_fields, mesh.hx)
+    return predict_local_ops_batch(model, problem.sigma_fields, mesh.hx, workers=workers)
 
 
 def run_case(cfg: CaseConfig, method: str, level: int | None = None,
@@ -165,7 +137,9 @@ def run_case(cfg: CaseConfig, method: str, level: int | None = None,
              workers: int | None = None, reference: ElementNodalField | None = None):
     """Run one method on one refinement level; returns (RunReport, mean field).
 
-    workers=None takes `default_workers()`; only exact hdg uses them.
+    workers=None takes `default_workers()`. They split hdg's local solves,
+    hdg-el's forward pass, the skeleton apply and recovery of both, and the
+    inversion of DG's sweep blocks; every count gives the same bits.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -191,7 +165,7 @@ def run_case(cfg: CaseConfig, method: str, level: int | None = None,
         t0 = time.perf_counter()
         system = dg_mod.assemble_dg(problem.mesh, problem.grid, problem.kernel,
                                     problem.sigma_fields, cfg.p, g=problem.g)
-        u, info = dg_mod.solve_dg(system, tol=tol)
+        u, info = dg_mod.solve_dg(system, tol=tol, workers=workers)
         report.t_global = time.perf_counter() - t0
         report.gmres_iters = info.iterations
         t0 = time.perf_counter()
@@ -204,19 +178,19 @@ def run_case(cfg: CaseConfig, method: str, level: int | None = None,
         else:
             if model is None:
                 raise ValueError("method hdg-el needs a trained model (--model)")
-            ops = surrogate_local_ops(problem, model)
+            ops = surrogate_local_ops(problem, model, workers=workers)
             # the surrogate does not predict the forcing response; all
             # benchmark cases run with f = 0, so none is needed
             report.meta["forcing"] = "zero"
         report.t_local = time.perf_counter() - t0
         t0 = time.perf_counter()
-        system = assemble_hybrid(problem.index, ops)
+        system = assemble_hybrid(problem.index, ops, workers=workers)
         bc = project_boundary(problem.g, problem.index)
         uhat, info = solve_hybrid(system, bc, tol=tol)
         report.t_global = time.perf_counter() - t0
         report.gmres_iters = info.iterations
         t0 = time.perf_counter()
-        fld = recover_mean_intensity(uhat, ops, problem.index)
+        fld = recover_mean_intensity(uhat, ops, problem.index, workers=workers)
         report.t_recover = time.perf_counter() - t0
 
     if reference is not None:

@@ -22,7 +22,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_MODEL = 4
 
-WORKERS_HELP = ("threads for the exact local solves; 'auto' (default) is the usable "
+WORKERS_HELP = ("threads for the element kernels (hdg's local solves, hdg-el's forward "
+                "pass, the skeleton apply, DG's sweep set-up); 'auto' (default) is the usable "
                 "cores divided by the BLAS thread count that OPENBLAS_NUM_THREADS, "
                 "OMP_NUM_THREADS or MKL_NUM_THREADS sets, and 1 when none is set")
 
@@ -136,7 +137,7 @@ def cmd_reference(args) -> int:
 
 
 def _workers_arg(text: str):
-    """--workers: a positive count, or "auto" for `bench.default_workers()`."""
+    """--workers: a positive count, or "auto" for `pool.default_workers()`."""
     if text == "auto":
         return None
     try:

@@ -35,9 +35,16 @@ from .errors import SolverFailure
 from .hybrid import GMRES_RESTART, ElementNodalField, project_boundary, restarted_gmres
 from .local import SigmaField, forcing_vector, reference_kernels
 from .mesh import Mesh, skeleton_numbering
+from .pool import element_bounds, run_blocks
 
 #: 1-norm condition number beyond which a sweep block counts as singular
 _SINGULAR_COND = 1e14
+#: inversion work (blocks x n_sp^3) below which the sweep blocks are inverted
+#: in one call on the calling thread. Slices inverted on worker threads leave
+#: their inverses' memory in those threads' heaps: at desk level 4 (1,728
+#: blocks of 16 x 16) a split raised DG's peak RSS by 3.4 MB. At paper level 1
+#: (1,512 blocks of 49 x 49) two threads halve the inversion time.
+_SPLIT_INVERT_WORK = 1 << 25
 
 
 @dataclass
@@ -57,10 +64,10 @@ class DgSystem:
     def n_dofs(self) -> int:
         return self.b.size
 
-    def preconditioner(self) -> "UpwindSweep":
-        """The sweep that applies P^-1 (cached)."""
+    def preconditioner(self, workers: int | None = None) -> "UpwindSweep":
+        """The sweep that applies P^-1 (cached; its set-up runs on `workers` threads)."""
         if self._precond is None:
-            self._precond = UpwindSweep(self)
+            self._precond = UpwindSweep(self, workers=workers)
         return self._precond
 
 
@@ -71,7 +78,7 @@ class UpwindSweep:
     angle) blocks as a block-diagonal matrix in sweep order.
     """
 
-    def __init__(self, system: DgSystem):
+    def __init__(self, system: DgSystem, workers: int | None = None):
         mesh, na = system.mesh, system.grid.n_elems
         n_sp = (system.p + 1) ** 2
         # wavefront step of block (e, a), counted from angle a's inflow corner:
@@ -85,7 +92,7 @@ class UpwindSweep:
         bounds = np.searchsorted(step[order], np.arange(mesh.nx + mesh.ny))
         elem, ang = np.divmod(order, na)
 
-        inv = _invert_blocks(sweep_blocks(system, order), elem, ang)
+        inv = _invert_blocks(sweep_blocks(system, order), elem, ang, workers)
         self.L = system.coupling
         self.U = scipy.sparse.bsr_matrix(
             (inv, np.arange(order.size), np.arange(order.size + 1)),
@@ -126,15 +133,29 @@ def sweep_blocks(system: DgSystem, ids: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _invert_blocks(blocks: np.ndarray, elem: np.ndarray, ang: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of sweep blocks; SolverFailure names a singular one."""
-    try:
-        inv = np.linalg.inv(blocks)
-        cond = (np.abs(blocks).sum(axis=1).max(axis=1)
-                * np.abs(inv).sum(axis=1).max(axis=1))
-        bad = np.flatnonzero(~(cond < _SINGULAR_COND))
-    except np.linalg.LinAlgError:  # an exactly zero pivot: its block has det 0
+def _invert_blocks(blocks: np.ndarray, elem: np.ndarray, ang: np.ndarray,
+                   workers: int | None = None) -> np.ndarray:
+    """Inverses of a stack of sweep blocks; SolverFailure names a singular one.
+
+    A large stack is inverted in contiguous slices on `workers` threads;
+    each block is its own LAPACK solve, so every split gives the same bits.
+    """
+    def invert(lo, hi):
+        try:
+            inv = np.linalg.inv(blocks[lo:hi])
+        except np.linalg.LinAlgError:  # an exactly zero pivot: its block has det 0
+            return None
+        return inv, (np.abs(blocks[lo:hi]).sum(axis=1).max(axis=1)
+                     * np.abs(inv).sum(axis=1).max(axis=1))
+
+    n_sp = blocks.shape[1]
+    bounds = element_bounds(len(blocks), n_sp ** 3, workers, min_work=_SPLIT_INVERT_WORK)
+    parts = run_blocks(invert, bounds, workers)
+    if any(part is None for part in parts):
         bad = [int(np.argmin(np.abs(np.linalg.det(blocks))))]
+    else:
+        inv, cond = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        bad = np.flatnonzero(~(cond < _SINGULAR_COND))
     if len(bad):
         k = bad[0]
         raise SolverFailure(f"singular DG sweep block on element {elem[k]}, angle {ang[k]}")
@@ -225,13 +246,17 @@ def _row_pointer(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
 
 
-def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART):
-    """Left-preconditioned GMRES on the monolithic system (see `restarted_gmres`)."""
+def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART,
+             workers: int | None = None):
+    """Left-preconditioned GMRES on the monolithic system (see `restarted_gmres`).
+
+    The sweep's set-up runs on `workers` threads (None: `pool.default_workers()`).
+    """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not np.any(system.b):
         return np.zeros(system.n_dofs), DgSolveInfo(iterations=0)
-    sweep = system.preconditioner()
+    sweep = system.preconditioner(workers=workers)
     mop = scipy.sparse.linalg.LinearOperator(
         (system.n_dofs, system.n_dofs), matvec=sweep.solve)
     x, residuals = restarted_gmres(system.matrix, system.b, tol, restart, "DG", M=mop)

@@ -18,8 +18,9 @@ import scipy.sparse.linalg
 
 from .basis import lagrange_basis_at, lgl_quadrature
 from .errors import SolverFailure
-from .local import element_solution
+from .local import ElementOperators, element_solution
 from .mesh import Mesh, SkeletonIndex
+from .pool import element_bounds, run_blocks
 
 GMRES_RESTART = 200
 #: a restart cycle that lowers the residual by less than this fraction has
@@ -55,17 +56,39 @@ def project_boundary(g, index: SkeletonIndex) -> SkeletonState:
     return SkeletonState(values=values, dirichlet_mask=index.dirichlet_mask.copy())
 
 
-class HybridSystem:
-    """Affine skeleton operator assembled from per-element in2out blocks."""
+def _element_matvec(a: np.ndarray, x: np.ndarray, workers: int | None) -> np.ndarray:
+    """a[e] @ x[e] for every element e, shape (n_elems, rows).
 
-    def __init__(self, index: SkeletonIndex, ops_list):
+    Contiguous element blocks run on `workers` threads (None:
+    `pool.default_workers()`) once the product is large enough; each
+    element's product is its own BLAS call, so every split gives the same bits.
+    """
+    y = np.empty(a.shape[:2])
+
+    def block(lo, hi):
+        np.matmul(a[lo:hi], x[lo:hi, :, None], out=y[lo:hi, :, None])
+
+    run_blocks(block, element_bounds(a.shape[0], a.shape[1] * a.shape[2], workers), workers)
+    return y
+
+
+class HybridSystem:
+    """Affine skeleton operator over the elements' in2out blocks.
+
+    ops is an ElementOperators, whose stacks are read in place, or a
+    sequence of LocalOperators, stacked once here.
+    """
+
+    def __init__(self, index: SkeletonIndex, ops, workers: int | None = None):
         mesh = index.mesh
-        if len(ops_list) != mesh.n_elems:
+        ops = ElementOperators.of(ops)
+        if len(ops) != mesh.n_elems:
             raise ValueError(f"need one LocalOperators per element "
-                             f"({mesh.n_elems}), got {len(ops_list)}")
+                             f"({mesh.n_elems}), got {len(ops)}")
         self.index = index
-        self.a_i2o = np.stack([ops.a_i2o for ops in ops_list])
-        self.fhat = np.stack([ops.fhat_u for ops in ops_list])
+        self.workers = workers
+        self.a_i2o = ops.a_i2o
+        self.fhat = ops.fhat_u
         self.in_idx = index.elem_inflow
         # every free DOF is the outflow slot of exactly one element
         self.out_free = index.free_index[index.elem_outflow]
@@ -82,7 +105,7 @@ class HybridSystem:
         u = np.zeros(self.index.n_dofs)
         u[~self.index.dirichlet_mask] = v_free
         r = v_free.copy()
-        y = np.matmul(self.a_i2o, u[self.in_idx][:, :, None])
+        y = _element_matvec(self.a_i2o, u[self.in_idx], self.workers)
         r[self.out_free.reshape(-1)] -= y.reshape(-1)
         return r
 
@@ -91,14 +114,15 @@ class HybridSystem:
         ug = np.zeros(self.index.n_dofs)
         fixed = self.index.dirichlet_mask
         ug[fixed] = bc.values[fixed]
-        y = np.matmul(self.a_i2o, ug[self.in_idx][:, :, None])[:, :, 0] + self.fhat
+        y = _element_matvec(self.a_i2o, ug[self.in_idx], self.workers)
+        y += self.fhat
         b = np.zeros(self.n_free)
         b[self.out_free.reshape(-1)] = y.reshape(-1)
         return b
 
 
-def assemble_hybrid(index: SkeletonIndex, ops_list) -> HybridSystem:
-    return HybridSystem(index, ops_list)
+def assemble_hybrid(index: SkeletonIndex, ops, workers: int | None = None) -> HybridSystem:
+    return HybridSystem(index, ops, workers=workers)
 
 
 def restarted_gmres(matrix, b: np.ndarray, tol: float, restart: int, label: str, M=None):
@@ -252,11 +276,12 @@ def recover_solution(uhat: SkeletonState, index: SkeletonIndex, sigma_fields, ke
                      for e in range(mesh.n_elems)])
 
 
-def recover_mean_intensity(uhat: SkeletonState, ops_list, index: SkeletonIndex) -> ElementNodalField:
-    """Mean intensity m = A_i2m uhat_in + f_mean per element."""
-    a = np.stack([ops.a_i2m for ops in ops_list])
-    f = np.stack([ops.f_mean for ops in ops_list])
-    vals = np.matmul(a, uhat.values[index.elem_inflow][:, :, None])[:, :, 0] + f
+def recover_mean_intensity(uhat: SkeletonState, ops, index: SkeletonIndex,
+                           workers: int | None = None) -> ElementNodalField:
+    """Mean intensity m = A_i2m uhat_in + f_mean per element (ops as for HybridSystem)."""
+    ops = ElementOperators.of(ops)
+    vals = _element_matvec(ops.a_i2m, uhat.values[index.elem_inflow], workers)
+    vals += ops.f_mean
     p = index.p
     return ElementNodalField(mesh=index.mesh, p=p,
                              values=vals.reshape(index.mesh.n_elems, p + 1, p + 1))

@@ -95,6 +95,52 @@ class LocalOperators:
     f_mean: np.ndarray           # (n_sp,)
 
 
+#: the per-element arrays of LocalOperators, in field order
+OPERATOR_FIELDS = ("a_i2o", "a_i2m", "fhat_u", "f_mean")
+
+
+@dataclass
+class ElementOperators:
+    """Every element's LocalOperators, stacked along a leading element axis.
+
+    The skeleton solve and the recovery read the stacks directly; len(),
+    indexing and iteration give per-element LocalOperators views into them.
+    """
+
+    a_i2o: np.ndarray            # (n_elems, n_out, n_in)
+    a_i2m: np.ndarray            # (n_elems, n_sp, n_in)
+    fhat_u: np.ndarray           # (n_elems, n_out)
+    f_mean: np.ndarray           # (n_elems, n_sp)
+
+    @classmethod
+    def empty(cls, n_elems: int, n_out: int, n_in: int, n_sp: int) -> "ElementOperators":
+        return cls(a_i2o=np.empty((n_elems, n_out, n_in)), a_i2m=np.empty((n_elems, n_sp, n_in)),
+                   fhat_u=np.empty((n_elems, n_out)), f_mean=np.empty((n_elems, n_sp)))
+
+    @classmethod
+    def of(cls, ops) -> "ElementOperators":
+        """ops itself when it is an ElementOperators, else its LocalOperators stacked (a copy)."""
+        if isinstance(ops, cls):
+            return ops
+        ops = list(ops)
+        if not ops:
+            raise ValueError("no element operators given")
+        return cls(*(np.stack([getattr(o, name) for o in ops]) for name in OPERATOR_FIELDS))
+
+    def __len__(self) -> int:
+        return self.a_i2o.shape[0]
+
+    def __getitem__(self, e: int) -> LocalOperators:
+        return LocalOperators(*(getattr(self, name)[e] for name in OPERATOR_FIELDS))
+
+    def __setitem__(self, e: int, ops: LocalOperators) -> None:
+        for name in OPERATOR_FIELDS:
+            getattr(self, name)[e] = getattr(ops, name)
+
+    def __iter__(self):
+        return (self[e] for e in range(len(self)))
+
+
 class _ReferenceKernels:
     """sigma-independent assembly pieces for one (p, grid), unscaled."""
 

@@ -75,11 +75,6 @@ class Mesh:
         iy_edge, ix = divmod(f - n_vert, self.nx)
         return iy_edge * self.hy, ix * self.hx
 
-    def outward_normal(self, f: int, e: int):
-        """Outward normal of face f as seen from its incident element e."""
-        sign = 1.0 if self.face_minus[f] == e else -1.0
-        return (sign, 0.0) if self.face_axis[f] == 0 else (0.0, sign)
-
 
 def build_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
     if lx <= 0 or ly <= 0 or nx <= 0 or ny <= 0:
@@ -215,26 +210,43 @@ class SkeletonIndex:
 
         Used to sample boundary radiance; the projection of g is nodal
         interpolation at the face LGL nodes and midpoint sampling in angle
-        (piecewise-constant angular elements).
+        (piecewise-constant angular elements). Records are ordered by face,
+        then face node, then angle; each is a tuple of Python scalars.
         """
         mesh, grid, p = self.mesh, self.grid, self.p
+        face, node, ang, local = _boundary_inflow_slots(mesh, grid, p)
         n1, na = p + 1, grid.n_elems
-        q = lgl_quadrature(p)
-        mids = grid.midpoints
-        recs = []
-        for f in np.nonzero(mesh.boundary_faces)[0]:
-            e = mesh.face_minus[f] if mesh.face_minus[f] >= 0 else mesh.face_plus[f]
-            normal = mesh.outward_normal(f, int(e))
-            inflow_a = np.nonzero(~grid.outflow_mask(normal))[0]
-            fixed_coord, span_start = mesh.face_span(f)
-            h_span = mesh.hy if mesh.face_axis[f] == 0 else mesh.hx
-            coords = span_start + 0.5 * h_span * (q.nodes + 1.0)
-            for j in range(n1):
-                x, y = (fixed_coord, coords[j]) if mesh.face_axis[f] == 0 else (coords[j], fixed_coord)
-                for a in inflow_a:
-                    dof = f * n1 * na + j * na + a
-                    recs.append((dof, x, y, mids[a], normal))
-        return recs
+        n_vert = mesh.ny * (mesh.nx + 1)
+        vertical = mesh.face_axis[face] == 0
+        # face_span, per slot: the face's fixed coordinate and span start
+        iy, ix_edge = np.divmod(face, mesh.nx + 1)
+        iy_edge, ix = np.divmod(face - n_vert, mesh.nx)
+        fixed = np.where(vertical, ix_edge * mesh.hx, iy_edge * mesh.hy)
+        start = np.where(vertical, iy * mesh.hy, ix * mesh.hx)
+        half_span = 0.5 * np.where(vertical, mesh.hy, mesh.hx)
+        along = start + half_span * (lgl_quadrature(p).nodes + 1.0)[node]
+        x = np.where(vertical, fixed, along)
+        y = np.where(vertical, along, fixed)
+        dof = face * n1 * na + node * na + ang
+        return list(zip(dof.tolist(), x.tolist(), y.tolist(), grid.midpoints[ang].tolist(),
+                        [ELEMENT_FACE_NORMALS[f] for f in local.tolist()]))
+
+
+def _boundary_inflow_slots(mesh: Mesh, grid: AngularGrid, p: int):
+    """(face, face node, angle, local face) of every inflow slot on the domain boundary.
+
+    Slots are ordered by face id, then face node, then angle. The local
+    face (L, R, B, T) is the face's place on its one element, and indexes
+    ELEMENT_FACE_NORMALS for the outward normal.
+    """
+    faces = np.flatnonzero(mesh.boundary_faces)
+    # the face as a local face (L, R, B, T) of its one element: that element
+    # is on the minus side of a right or top face
+    local = 2 * mesh.face_axis[faces] + (mesh.face_minus[faces] >= 0)
+    inflow = np.stack([~grid.outflow_mask(n) for n in ELEMENT_FACE_NORMALS])[local]
+    k, node, ang = np.nonzero(np.broadcast_to(inflow[:, None, :],
+                                              (faces.size, p + 1, grid.n_elems)))
+    return faces[k], node, ang, local[k]
 
 
 def skeleton_numbering(mesh: Mesh, grid: AngularGrid, p: int) -> SkeletonIndex:
@@ -251,13 +263,8 @@ def skeleton_numbering(mesh: Mesh, grid: AngularGrid, p: int) -> SkeletonIndex:
     elem_outflow = global_ids(tracemap.outflow_face, tracemap.outflow_node, tracemap.outflow_ang)
 
     dirichlet = np.zeros(n_dofs, dtype=bool)
-    for f in np.nonzero(mesh.boundary_faces)[0]:
-        e = mesh.face_minus[f] if mesh.face_minus[f] >= 0 else mesh.face_plus[f]
-        normal = mesh.outward_normal(f, int(e))
-        inflow_a = ~grid.outflow_mask(normal)
-        base = f * n_per_face
-        for j in range(n1):
-            dirichlet[base + j * na : base + (j + 1) * na] = inflow_a
+    face, node, ang, _ = _boundary_inflow_slots(mesh, grid, p)
+    dirichlet[face * n_per_face + node * na + ang] = True
 
     free_index = np.full(n_dofs, -1, dtype=np.int64)
     free_index[~dirichlet] = np.arange(int(np.sum(~dirichlet)))

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ModelMismatch
-from .local import LocalOperators, SigmaField
+from .local import ElementOperators, LocalOperators, SigmaField
+from .pool import run_blocks
 
 MAGIC = b"RTHDGMLP"
 FORMAT_VERSION = 1
@@ -32,6 +33,11 @@ ADAM_EPS = 1e-8
 #: elements per block of the in-place Adam update; the blocks of the four
 #: arrays and the two scratch blocks stay in cache (best of 8K-128K tried)
 _ADAM_CHUNK = 1 << 15
+#: output-layer columns per block of the forward pass; the cuts do not depend
+#: on the worker count. Each falls on a multiple of 64 columns, where
+#: OpenBLAS's gemm sums every entry as the one-shot product does (a cut at
+#: column 86,436 did not). Narrower outputs (desk scale: 5,120) are one block.
+_FORWARD_BLOCK = 1 << 13
 
 #: full-scale learning protocol: (epochs, learning rate) phases
 DEFAULT_SCHEDULE = ((3000, 1e-3), (3000, 1e-4), (3000, 1e-5))
@@ -104,20 +110,31 @@ def elu_grad(z):
     return np.where(z >= 0, 1.0, np.exp(np.minimum(z, 0.0)))
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward propagation; x is one input vector or a (batch, N_in) array."""
+def forward(model: MlpModel, x: np.ndarray, workers: int | None = None) -> np.ndarray:
+    """Forward propagation; x is one input vector or a (batch, N_in) array.
+
+    The output layer is computed in column blocks of `_FORWARD_BLOCK`,
+    spread over `workers` threads (None: `pool.default_workers()`); each
+    block adds its bias in place, so no second output-sized array is made.
+    """
     x = np.asarray(x, float)
     single = x.ndim == 1
     h = x[None, :] if single else x
     if h.shape[1] != model.dims[0]:
         raise ValueError(f"input width {h.shape[1]} does not match model N_in={model.dims[0]}")
-    last = model.n_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = h @ w
-        h += b  # in place: no second (batch, N_out) temporary
-        if i != last:
-            h = elu(h)
-    return h[0] if single else h
+        h += b
+        h = elu(h)
+    w, b = model.weights[-1], model.biases[-1]
+    out = np.empty((h.shape[0], w.shape[1]))
+
+    def output_block(lo, hi):
+        np.matmul(h, w[:, lo:hi], out=out[:, lo:hi])
+        out[:, lo:hi] += b[lo:hi]
+
+    run_blocks(output_block, [*range(0, w.shape[1], _FORWARD_BLOCK), w.shape[1]], workers)
+    return out[0] if single else out
 
 
 def _forward_cached(model, x):
@@ -135,7 +152,11 @@ def _forward_cached(model, x):
 
 
 def mae_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.abs(forward(model, x) - y)))
+    """Mean absolute error of the outputs, formed in place on the forward output."""
+    resid = forward(model, x)
+    resid -= y
+    np.abs(resid, out=resid)
+    return float(np.mean(resid))
 
 
 def mae_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
@@ -312,15 +333,21 @@ def flatten_operators(ops: LocalOperators) -> np.ndarray:
     return np.concatenate([ops.a_i2o.reshape(-1), ops.a_i2m.reshape(-1)])
 
 
-def unflatten_operators(y: np.ndarray, p_x: int, p_y: int, n_a: int) -> LocalOperators:
+def unflatten_operators(y: np.ndarray, p_x: int, p_y: int, n_a: int):
+    """Operators read from one output (n_out,) or from a stack of outputs (batch, n_out).
+
+    One output gives LocalOperators, a stack ElementOperators; the operator
+    arrays are views into y, not copies. The forcing responses are zero.
+    """
     n_tr = trace_count(p_x, p_y, n_a)
     n_sp = (p_x + 1) * (p_y + 1)
-    if y.size != n_tr * n_tr + n_sp * n_tr:
-        raise ValueError(f"output length {y.size} does not match the operator layout")
-    a_i2o = y[:n_tr * n_tr].reshape(n_tr, n_tr)
-    a_i2m = y[n_tr * n_tr:].reshape(n_sp, n_tr)
-    return LocalOperators(a_i2o=a_i2o, a_i2m=a_i2m,
-                          fhat_u=np.zeros(n_tr), f_mean=np.zeros(n_sp))
+    if y.ndim not in (1, 2) or y.shape[-1] != n_tr * n_tr + n_sp * n_tr:
+        raise ValueError(f"output shape {y.shape} does not match the operator layout")
+    lead = y.shape[:-1]
+    kind = LocalOperators if y.ndim == 1 else ElementOperators
+    return kind(a_i2o=y[..., :n_tr * n_tr].reshape(lead + (n_tr, n_tr)),
+                a_i2m=y[..., n_tr * n_tr:].reshape(lead + (n_sp, n_tr)),
+                fhat_u=np.zeros(lead + (n_tr,)), f_mean=np.zeros(lead + (n_sp,)))
 
 
 def predict_local_ops(model: MlpModel, sigma: SigmaField, h: float) -> LocalOperators:
@@ -331,11 +358,12 @@ def predict_local_ops(model: MlpModel, sigma: SigmaField, h: float) -> LocalOper
     return unflatten_operators(y, model.p_x, model.p_y, model.n_a)
 
 
-def predict_local_ops_batch(model: MlpModel, sigmas, h: float) -> list:
-    """Batched prediction for a list of elements (one forward pass)."""
+def predict_local_ops_batch(model: MlpModel, sigmas, h: float,
+                            workers: int | None = None) -> ElementOperators:
+    """Batched prediction for a list of elements: one forward pass, read in place."""
     x = np.stack([surrogate_input(s, h) for s in sigmas])
-    ys = forward(model, x)
-    return [unflatten_operators(y, model.p_x, model.p_y, model.n_a) for y in ys]
+    return unflatten_operators(forward(model, x, workers=workers),
+                               model.p_x, model.p_y, model.n_a)
 
 
 def model_fingerprint(model: MlpModel) -> str:

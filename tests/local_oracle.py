@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rthdg.basis import differentiation_matrix, lgl_quadrature
-from rthdg.local import element_trace_map
-from rthdg.mesh import FACE_LEFT, FACE_RIGHT
+from rthdg.mesh import FACE_LEFT, FACE_RIGHT, element_trace_map
 
 
 @dataclass

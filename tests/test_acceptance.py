@@ -21,8 +21,8 @@ from rthdg.datagen import (DiscretizationConfig, SamplerConfig,
 from rthdg.hybrid import (assemble_hybrid, boundary_fluxes, project_boundary,
                           recover_mean_intensity, recover_solution,
                           relative_l2_error, solve_hybrid)
-from rthdg.local import SigmaField, element_solution, element_trace_map, solve_element
-from rthdg.mesh import build_mesh, skeleton_numbering
+from rthdg.local import SigmaField, element_solution, solve_element
+from rthdg.mesh import build_mesh, element_trace_map, skeleton_numbering
 from rthdg.surrogate import (forward, init_mlp, mae_gradients, mae_loss,
                              predict_local_ops_batch, save_model, train)
 

@@ -1,16 +1,20 @@
 import csv
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rthdg import bench, cli, dg
+from rthdg import bench, cli, dg, pool, surrogate
 from rthdg.cases import CloudParams, default_config
 from rthdg.datagen import DiscretizationConfig, SamplerConfig, generate_dataset
 from rthdg.errors import ModelMismatch, SolverFailure
-from rthdg.hybrid import GMRES_RESTART
-from rthdg.surrogate import init_mlp, load_model, model_fingerprint, save_model, train
+from rthdg.hybrid import (GMRES_RESTART, assemble_hybrid, project_boundary,
+                          recover_mean_intensity, solve_hybrid)
+from rthdg.local import OPERATOR_FIELDS, SigmaField, solve_element
+from rthdg.surrogate import (flatten_operators, init_mlp, load_model, model_fingerprint,
+                             save_model, surrogate_input, train, unflatten_operators)
 
 DESK = default_config("idealized-1", p=2, n_a=8, beam_index=7, tol=1e-6,
                       cloud=CloudParams(width=0.4))
@@ -85,6 +89,73 @@ def zeroed_model():
     return model
 
 
+def anchored_model(problem, seed=0):
+    """A seeded model whose operators are contractive: small output weights
+    around the exact operators of a homogeneous element (perfbench's anchor)."""
+    cfg = problem.cfg
+    model = init_mlp(cfg.p, cfg.p, cfg.n_a, seed=seed)
+    sigma = SigmaField.from_scattering(np.full((cfg.p + 1, cfg.p + 1), 1.0), cfg.omega)
+    model.weights[-1] *= 1e-4
+    model.biases[-1] = flatten_operators(solve_element(sigma, problem.grid, problem.kernel,
+                                                       h=2.0))
+    return model
+
+
+def test_element_operators_iterate_as_the_list_path():
+    prob = bench.build_problem(DESK, 0)
+    h = (prob.mesh.hx, prob.mesh.hy)
+    exact = bench.exact_local_ops(prob, workers=2)
+    exact_list = [solve_element(s, prob.grid, prob.kernel, h, element_index=e)
+                  for e, s in enumerate(prob.sigma_fields)]
+    model = init_mlp(2, 2, 8, seed=1)
+    predicted = bench.surrogate_local_ops(prob, model)
+    x = np.stack([surrogate_input(s, prob.mesh.hx) for s in prob.sigma_fields])
+    predicted_list = [unflatten_operators(y, 2, 2, 8) for y in surrogate.forward(model, x)]
+    for ops, want in ((exact, exact_list), (predicted, predicted_list)):
+        assert len(ops) == len(want) == prob.mesh.n_elems
+        for e, (got, ref) in enumerate(zip(ops, want)):
+            for name in OPERATOR_FIELDS:
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+                assert getattr(ops[e], name).tobytes() == getattr(ref, name).tobytes()
+    # the surrogate's operators are read in place from one forward output
+    out = predicted.a_i2o.base
+    assert out.shape == (prob.mesh.n_elems, model.dims[-1]) and predicted.a_i2m.base is out
+    assert predicted[3].a_i2o.base is out
+
+
+def test_hdg_el_solve_makes_no_copy_of_the_operator_stack():
+    # paper level 1: after the forward pass, the skeleton solve and recovery
+    # allocate less than one a_i2o stack (63 MiB) in all; stacking the
+    # operators, as before, alone took that much
+    prob = bench.build_problem(default_config("idealized-1"), 1)  # p=6, N_a=28
+    ops = bench.surrogate_local_ops(prob, anchored_model(prob))
+    tracemalloc.start()
+    try:
+        system = assemble_hybrid(prob.index, ops)
+        uhat, info = solve_hybrid(system, project_boundary(prob.g, prob.index),
+                                  tol=prob.cfg.tol)
+        recover_mean_intensity(uhat, ops, prob.index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.iterations > 0
+    assert system.a_i2o is ops.a_i2o
+    assert peak < ops.a_i2o.nbytes
+
+
+@pytest.mark.parametrize("method", ["dg", "hdg", "hdg-el"])
+def test_fields_bitwise_independent_of_workers(monkeypatch, method):
+    # every kernel split into blocks: one element per matvec block, 64
+    # output columns per forward block, DG's inversion in slices
+    monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(dg, "_SPLIT_INVERT_WORK", 1)
+    monkeypatch.setattr(surrogate, "_FORWARD_BLOCK", 64)
+    model = anchored_model(bench.build_problem(DESK, 1)) if method == "hdg-el" else None
+    fields = [bench.run_case(DESK, method, level=1, model=model, workers=w)[1].values.tobytes()
+              for w in (1, 2, 4)]
+    assert fields[0] == fields[1] == fields[2]
+
+
 def counting_fingerprint(monkeypatch):
     calls = []
 
@@ -144,7 +215,7 @@ def test_workers_give_same_operators():
         par = bench.exact_local_ops(prob, workers=workers)
         par_f = bench.exact_local_ops(prob, workers=workers, f=f)
         assert len(par) == len(par_f) == prob.mesh.n_elems
-        for a, b in zip(seq + seq_f, par + par_f):
+        for a, b in zip([*seq, *seq_f], [*par, *par_f]):
             for name in ("a_i2o", "a_i2m", "fhat_u", "f_mean"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
@@ -181,18 +252,18 @@ def test_cold_kernel_caches_under_threads(monkeypatch):
     ({"OMP_NUM_THREADS": "bogus"}, 2, 1),
 ])
 def test_default_workers_rule(monkeypatch, env, cores, expected):
-    for var in bench.BLAS_THREAD_VARS:
+    for var in pool.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cores)),
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
     assert bench.default_workers() == expected
 
 
 def test_explicit_workers_win(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = []
     real = bench.exact_local_ops
 

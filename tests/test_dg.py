@@ -164,6 +164,43 @@ def test_singular_sweep_block_names_element_and_angle():
     assert any(f"element 1, angle {a}" in str(err.value) for a in singular)
 
 
+def test_sweep_inverses_bitwise_equal_across_workers(monkeypatch):
+    # slices of the block stack inverted on 1, 2 and 4 threads give the bits
+    # and the memory layout of one np.linalg.inv call, and the same sweep
+    rng = np.random.default_rng(13)
+    p, na = 3, 8
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, 0.8)
+    mesh = build_mesh(3.0, 2.0, 3, 2)
+    system = dgm.assemble_dg(mesh, grid, kernel, random_sigmas(rng, 6, p, 20.0), p)
+    ids = np.arange(mesh.n_elems * na)
+    blocks = dgm.sweep_blocks(system, ids)
+    want = np.linalg.inv(blocks)
+    r = rng.standard_normal(system.n_dofs)
+    want_x = dgm.UpwindSweep(system, workers=1).solve(r)
+    monkeypatch.setattr(dgm, "_SPLIT_INVERT_WORK", 1)
+    for workers in (1, 2, 4):
+        got = dgm._invert_blocks(blocks, *np.divmod(ids, na), workers=workers)
+        assert got.strides == want.strides and got.tobytes() == want.tobytes()
+        assert dgm.UpwindSweep(system, workers=workers).solve(r).tobytes() == want_x.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["zero pivot", "ill-conditioned"])
+def test_singular_block_named_from_any_slice(monkeypatch, kind):
+    # on four threads the failing block sits in the last slice; the error
+    # still names its element and angle
+    monkeypatch.setattr(dgm, "_SPLIT_INVERT_WORK", 1)
+    rng = np.random.default_rng(2)
+    na = 4
+    blocks = np.eye(4) + 0.1 * rng.standard_normal((20, 4, 4))
+    if kind == "zero pivot":
+        blocks[17] = 0.0
+    else:
+        blocks[17, :, 0] *= 1e-16
+    with pytest.raises(SolverFailure, match="element 4, angle 1"):
+        dgm._invert_blocks(blocks, *np.divmod(np.arange(20), na), workers=4)
+
+
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(1, 4), ny=st.integers(1, 4), p=st.integers(1, 3),
        na=st.sampled_from([4, 8, 12]), seed=st.integers(0, 2 ** 32 - 1))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from rthdg import dg as dgm
+from rthdg import pool
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
 from rthdg.errors import SolverFailure
 from rthdg.hybrid import (ElementNodalField, SkeletonState, assemble_hybrid,
                           project_boundary, recover_mean_intensity,
                           recover_solution, relative_l2_error, solve_hybrid)
-from rthdg.local import LocalOperators, SigmaField, solve_element
+from rthdg.local import ElementOperators, LocalOperators, SigmaField, solve_element
 from rthdg.mesh import build_mesh, skeleton_numbering
 
 
@@ -147,6 +148,39 @@ def test_skeleton_apply_matches_element_loop():
     want = np.stack([ops[e].a_i2m @ uhat.values[index.elem_inflow[e]] + ops[e].f_mean
                      for e in range(mesh.n_elems)])
     close(recover_mean_intensity(uhat, ops, index).values.reshape(mesh.n_elems, -1), want)
+
+
+def test_skeleton_apply_bitwise_equal_across_workers(monkeypatch):
+    # with forcing and random Dirichlet data: the skeleton apply, right-hand
+    # side and recovery split over element blocks give the bits of one
+    # batched product, from the container and from a list of operators
+    rng = np.random.default_rng(9)
+    p, na = 2, 8
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, 0.8)
+    mesh = build_mesh(3.0, 2.0, 3, 2)
+    index = skeleton_numbering(mesh, grid, p)
+    sigmas = [SigmaField.from_scattering(rng.uniform(0, 4, (p + 1, p + 1)), 0.9)
+              for _ in range(mesh.n_elems)]
+    f = [rng.uniform(0, 1, (p + 1, p + 1)) for _ in range(mesh.n_elems)]
+    listed = exact_ops(mesh, grid, kernel, sigmas, f=f)
+    stacked = ElementOperators.of(listed)
+    v = rng.standard_normal(index.n_free)
+    bc = SkeletonState(values=rng.uniform(0, 1, index.n_dofs),
+                       dirichlet_mask=index.dirichlet_mask.copy())
+    uhat = SkeletonState(values=rng.standard_normal(index.n_dofs),
+                         dirichlet_mask=index.dirichlet_mask.copy())
+
+    def outputs(ops, workers):
+        system = assemble_hybrid(index, ops, workers=workers)
+        return [system.linear_action(v).tobytes(), system.rhs(bc).tobytes(),
+                recover_mean_intensity(uhat, ops, index, workers=workers).values.tobytes()]
+
+    want = outputs(listed, 1)  # one block: below pool.MIN_BLOCK_WORK
+    monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1)  # one element is enough for a block
+    for workers in (1, 2, 4):
+        assert outputs(listed, workers) == want
+        assert outputs(stacked, workers) == want
 
 
 def test_missing_element_operators():

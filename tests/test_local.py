@@ -8,9 +8,8 @@ from rthdg.angular import build_angular_grid, scattering_kernel_matrix
 from rthdg.basis import lgl_quadrature
 from rthdg.errors import SolverFailure
 from rthdg.local import (SigmaField, assemble_local, element_solution,
-                         element_trace_map, forcing_vector, local_solve,
-                         solve_element)
-from rthdg.mesh import FACE_LEFT, FACE_RIGHT
+                         forcing_vector, local_solve, solve_element)
+from rthdg.mesh import FACE_LEFT, FACE_RIGHT, element_trace_map
 
 
 @pytest.fixture(scope="module")

@@ -162,3 +162,37 @@ def test_boundary_inflow_records_cover_dirichlet():
         assert on_boundary
         # inflow: s . n < 0 at the angular midpoint
         assert normal[0] * np.cos(theta) + normal[1] * np.sin(theta) < 0
+
+
+def _face_loop_records(index):
+    """The boundary records as a loop over faces, nodes and angles: the reference."""
+    mesh, grid, p = index.mesh, index.grid, index.p
+    n1, na = p + 1, grid.n_elems
+    q = lgl_quadrature(p)
+    recs = []
+    for f in np.nonzero(mesh.boundary_faces)[0]:
+        sign = 1.0 if mesh.face_minus[f] >= 0 else -1.0
+        normal = (sign, 0.0) if mesh.face_axis[f] == 0 else (0.0, sign)
+        fixed_coord, span_start = mesh.face_span(f)
+        h_span = mesh.hy if mesh.face_axis[f] == 0 else mesh.hx
+        coords = span_start + 0.5 * h_span * (q.nodes + 1.0)
+        for j in range(n1):
+            x, y = (fixed_coord, coords[j]) if mesh.face_axis[f] == 0 else (coords[j], fixed_coord)
+            for a in np.nonzero(~grid.outflow_mask(normal))[0]:
+                recs.append((f * n1 * na + j * na + a, x, y, grid.midpoints[a], normal))
+    return recs
+
+
+@pytest.mark.parametrize("lx, ly, nx, ny, p, na", [
+    (3.0, 2.0, 3, 2, 2, 8),
+    (3.0, 2.0, 9, 6, 6, 28),      # paper level 1
+    (6.5, 0.5, 39, 3, 3, 12),     # i3rc-like strip
+])
+def test_boundary_inflow_records_equal_the_face_loop(lx, ly, nx, ny, p, na):
+    index = skeleton_numbering(build_mesh(lx, ly, nx, ny), build_angular_grid(na), p)
+    got = index.boundary_inflow_records()
+    want = _face_loop_records(index)
+    assert len(got) == len(want) == int(index.dirichlet_mask.sum())
+    for g, w in zip(got, want):
+        assert g[0] == w[0] and g[4] == w[4]
+        assert [float(v).hex() for v in g[1:4]] == [float(v).hex() for v in w[1:4]]

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rthdg import surrogate
 from rthdg.errors import FormatError, ModelMismatch
 from rthdg.local import SigmaField
 from rthdg.surrogate import (_ADAM_CHUNK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
@@ -379,3 +380,63 @@ def test_held_out_prediction_within_3x_test_mae(capacity_models, desk_dataset):
     pred = forward(model, desk_dataset.inputs[idx])
     err = np.abs(pred - desk_dataset.labels[idx]).mean()
     assert err <= 3 * model.meta["test_mae"]
+
+
+def _forward_one_block(model, x):
+    """The forward pass with one product per layer: the reference for the blocked output layer."""
+    h = np.atleast_2d(np.asarray(x, float))
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = h @ w
+        h += b
+        if i != model.n_layers - 1:
+            h = elu(h)
+    return h[0] if np.ndim(x) == 1 else h
+
+
+@pytest.mark.parametrize("block", [surrogate._FORWARD_BLOCK, 64, 192])
+def test_forward_bitwise_equal_across_workers_and_to_one_block(monkeypatch, block):
+    # 17,400 output columns: more than one block, and not a multiple of 64
+    model = init_mlp(4, 4, 12, n_layers=3, seed=2)
+    assert model.dims[-1] > block and model.dims[-1] % block != 0
+    monkeypatch.setattr(surrogate, "_FORWARD_BLOCK", block)
+    x = np.random.default_rng(8).uniform(0, 5, (9, model.dims[0]))
+    for inputs in (x, x[:1], x[0]):
+        want = _forward_one_block(model, inputs)
+        for workers in (1, 2, 4):
+            got = forward(model, inputs, workers=workers)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_mae_loss_bitwise_equals_the_three_array_expression():
+    model = init_mlp(3, 3, 12, n_layers=2, seed=5)
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0, 5, (6, model.dims[0]))
+    y = rng.standard_normal((6, model.dims[-1]))
+    for xs, ys in ((x, y), (x[0], y[0])):
+        want = float(np.mean(np.abs(forward(model, xs) - ys)))
+        assert mae_loss(model, xs, ys).hex() == want.hex()
+    out_bytes = y.nbytes
+    tracemalloc.start()
+    try:
+        mae_loss(model, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out_bytes  # one output-sized array, not three
+
+
+def test_unflatten_a_stack_gives_views_of_each_row():
+    p, na = 2, 8
+    n_tr = trace_count(p, p, na)
+    y = np.random.default_rng(1).standard_normal((5, output_size(p, p, na)))
+    stack = unflatten_operators(y, p, p, na)
+    assert len(stack) == 5 and stack.a_i2o.shape == (5, n_tr, n_tr)
+    assert np.shares_memory(stack.a_i2o, y) and np.shares_memory(stack.a_i2m, y)
+    for e, ops in enumerate(stack):
+        one = unflatten_operators(y[e], p, p, na)
+        for name in ("a_i2o", "a_i2m", "fhat_u", "f_mean"):
+            assert getattr(ops, name).tobytes() == getattr(one, name).tobytes()
+    with pytest.raises(ValueError):
+        unflatten_operators(y[:, 1:], p, p, na)
+    with pytest.raises(ValueError):
+        unflatten_operators(y[None], p, p, na)
