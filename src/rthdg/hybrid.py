@@ -7,8 +7,17 @@ value equals the outflow trace produced by the owning element:
     uhat_out - A_i2o uhat_in = fhat_u      (per element, on its outflow slots)
 
 Inflow-boundary DOFs are fixed to the projected boundary data and eliminated;
-the remaining linear system is solved with restarted GMRES applying the
-per-element dense blocks matrix-free.
+the remaining linear system (I - A) u = b is solved with restarted GMRES
+applying the per-element dense blocks matrix-free.
+
+GMRES is right-preconditioned by one skeleton sweep (`SkeletonSweep`). Its
+P = I - A_qq keeps only the couplings of A between an inflow and an outflow
+angle of the same quadrant (the signs of cos and sin). An inflow slot of
+angle a reads the outflow slot of angle a of an upwind neighbor, so with
+each (element, quadrant) block numbered by its wavefront step kx + ky,
+counted from the quadrant's inflow corner, P is block lower triangular with
+identity diagonal blocks, and P^-1 r is one pass over the steps. The
+reported residuals are those of the unpreconditioned system.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +28,7 @@ import scipy.sparse.linalg
 from .basis import lagrange_basis_at, lgl_quadrature
 from .errors import SolverFailure
 from .local import ElementOperators, element_solution
-from .mesh import Mesh, SkeletonIndex
+from .mesh import Mesh, SkeletonIndex, wavefront_steps
 from .pool import element_bounds, run_blocks
 
 GMRES_RESTART = 200
@@ -90,6 +99,7 @@ class HybridSystem:
         self.a_i2o = ops.a_i2o
         self.fhat = ops.fhat_u
         self.in_idx = index.elem_inflow
+        self._precond = None
         # every free DOF is the outflow slot of exactly one element
         self.out_free = index.free_index[index.elem_outflow]
         if np.any(self.out_free < 0):
@@ -120,6 +130,98 @@ class HybridSystem:
         b[self.out_free.reshape(-1)] = y.reshape(-1)
         return b
 
+    def preconditioner(self, workers: int | None = None) -> "SkeletonSweep":
+        """The sweep that applies P^-1 (cached; its set-up runs on `workers`
+        threads, None: the system's)."""
+        if self._precond is None:
+            self._precond = SkeletonSweep(self, self.workers if workers is None else workers)
+        return self._precond
+
+
+class SkeletonSweep:
+    """Exact inverse of the same-quadrant part P = I - A_qq of a HybridSystem.
+
+    blocks holds every element's four quadrant blocks of a_i2o, (m, m) with
+    m = n_in / 4, ordered by wavefront step, then quadrant, then element, so
+    that a step's blocks are contiguous.
+    """
+
+    def __init__(self, system: HybridSystem, workers: int | None = None):
+        index = system.index
+        mesh, tm, n_el = index.mesh, index.tracemap, index.mesh.n_elems
+        quadrant = (index.grid.midpoints // (0.5 * np.pi)).astype(int)
+        in_slots = np.stack([np.flatnonzero(quadrant[tm.inflow_ang] == q) for q in range(4)])
+        out_slots = np.stack([np.flatnonzero(quadrant[tm.outflow_ang] == q) for q in range(4)])
+        m = in_slots.shape[1]
+
+        mid = (np.arange(4) + 0.5) * 0.5 * np.pi
+        step = wavefront_steps(mesh, np.cos(mid), np.sin(mid))  # (n_elems, 4)
+        # block (e, q) has id e * 4 + q; sort by step, then quadrant, then element
+        key = (step * 4 + np.arange(4)) * n_el + np.arange(n_el)[:, None]
+        elem, quad = np.divmod(np.argsort(key, axis=None), 4)
+        bounds = np.searchsorted(step[elem, quad], np.arange(mesh.nx + mesh.ny))
+        in_free = index.free_index[index.elem_inflow]
+        in_free[in_free < 0] = system.n_free  # Dirichlet slots read a fixed zero
+        gather = in_free[elem[:, None], in_slots[quad]]
+        scatter = system.out_free[elem[:, None], out_slots[quad]]
+        self._n = system.n_free
+        self._steps = [(lo, hi, gather[lo:hi], scatter[lo:hi].reshape(-1))
+                       for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+        src = [_quadrant_blocks(system.a_i2o, out_slots[q], in_slots[q], tm.p)
+               for q in range(4)]
+        # the elements of one step and quadrant lie on a diagonal of the
+        # mesh: a strided slice of the element axis
+        first = np.flatnonzero(np.diff(step[elem, quad] * 4 + quad, prepend=-1))
+        groups = []
+        for lo, hi in zip(first, np.append(first[1:], elem.size)):
+            stride = elem[lo + 1] - elem[lo] if hi - lo > 1 else 1
+            groups.append((lo, hi, src[quad[lo]][elem[lo]:elem[hi - 1] + 1:stride]))
+        self.blocks = np.empty((elem.size, m, m))
+        dst = self.blocks.reshape(elem.size, *src[0].shape[1:])
+
+        def copy(lo, hi):
+            for g_lo, g_hi, part in groups:
+                k0, k1 = max(lo, g_lo), min(hi, g_hi)
+                if k0 < k1:
+                    dst[k0:k1] = part[k0 - g_lo:k1 - g_lo]
+
+        run_blocks(copy, element_bounds(elem.size, m * m, workers), workers)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """P^-1 r: the blocks of one wavefront step read only earlier steps."""
+        x = np.empty(self._n + 1)
+        x[:-1] = r
+        x[-1] = 0.0
+        for lo, hi, gather, scatter in self._steps:
+            y = np.matmul(self.blocks[lo:hi], x[gather][:, :, None])
+            x[scatter] += y.reshape(-1)
+        return x[:-1]
+
+
+def _quadrant_blocks(a: np.ndarray, rows: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+    """Read-only view of a[:, rows][:, :, cols], without a copy.
+
+    rows and cols are one quadrant's slots: on each of its two faces, one
+    contiguous half of every face node's slots, N_a / 4 angles. The view
+    has shape (n_elems, 2, p+1, N_a/4, 2, p+1, N_a/4) over (face, node,
+    angle) of the rows and of the columns.
+    """
+    def pattern(slots, stride):
+        half = slots.size // (2 * (p + 1))
+        face = slots[slots.size // 2] - slots[0]
+        want = (slots[0] + np.array([0, face])[:, None, None]
+                + 2 * half * np.arange(p + 1)[:, None] + np.arange(half)).reshape(-1)
+        if not np.array_equal(slots, want):
+            raise AssertionError("quadrant slots are not two face halves; trace map changed")
+        return (2, p + 1, half), (face * stride, 2 * half * stride, stride)
+
+    shape_r, strides_r = pattern(rows, a.strides[1])
+    shape_c, strides_c = pattern(cols, a.strides[2])
+    return np.lib.stride_tricks.as_strided(
+        a[:, rows[0]:, cols[0]:], shape=(a.shape[0], *shape_r, *shape_c),
+        strides=(a.strides[0], *strides_r, *strides_c), writeable=False)
+
 
 def assemble_hybrid(index: SkeletonIndex, ops, workers: int | None = None) -> HybridSystem:
     return HybridSystem(index, ops, workers=workers)
@@ -128,9 +230,13 @@ def assemble_hybrid(index: SkeletonIndex, ops, workers: int | None = None) -> Hy
 def restarted_gmres(matrix, b: np.ndarray, tol: float, restart: int, label: str, M=None):
     """Restarted GMRES from zero with right-hand-side-relative stopping.
 
-    Returns (x, residual history). The outer cycle cap is 10 * n / restart.
-    Raises SolverFailure, carrying the history, when a full restart cycle
-    lowers the residual by less than GMRES_STALL_FRACTION or when the cap
+    Returns (x, residual history). The history holds GMRES's estimate of
+    ||M (b - matrix x)|| / ||b|| per iteration: the true relative residual
+    when M is None, else the left-preconditioned one, whose last entry can
+    stay above tol in a solve whose true residual reaches it. The outer
+    cycle cap is 10 * n / restart. Raises SolverFailure, carrying the
+    history, at the first non-finite residual, when a full restart cycle
+    lowers the residual by less than GMRES_STALL_FRACTION, or when the cap
     is reached.
     """
     residuals = []
@@ -138,6 +244,9 @@ def restarted_gmres(matrix, b: np.ndarray, tol: float, restart: int, label: str,
     def _cb(pr_norm):
         residuals.append(float(pr_norm))
         k = len(residuals)
+        if not np.isfinite(residuals[-1]):
+            raise SolverFailure(f"{label} GMRES residual became {residuals[-1]} after "
+                                f"{k} iterations", residuals=residuals)
         if k % restart == 0 and k > restart:
             before, now = residuals[-1 - restart], residuals[-1]
             if now > (1.0 - GMRES_STALL_FRACTION) * before:
@@ -162,8 +271,11 @@ def solve_hybrid(system: HybridSystem, bc: SkeletonState, tol: float = 1e-4,
                  restart: int = GMRES_RESTART):
     """GMRES on the free hybrid DOFs; returns (SkeletonState, HybridSolveInfo).
 
-    Right-hand-side-relative stopping, restarted at `restart`, no
-    preconditioner; stalls and the cycle cap raise (see `restarted_gmres`).
+    Right-preconditioned by the system's SkeletonSweep: GMRES solves
+    (I - A) P^-1 y = b and x = P^-1 y, so the residual history is the true
+    ||b - (I - A) x|| / ||b||. Right-hand-side-relative stopping, restarted
+    at `restart`; non-finite residuals, stalls and the cycle cap raise (see
+    `restarted_gmres`).
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -173,10 +285,11 @@ def solve_hybrid(system: HybridSystem, bc: SkeletonState, tol: float = 1e-4,
         full[~system.index.dirichlet_mask] = 0.0
         return (SkeletonState(values=full, dirichlet_mask=bc.dirichlet_mask),
                 HybridSolveInfo(iterations=0))
+    sweep = system.preconditioner()
     op = scipy.sparse.linalg.LinearOperator(
-        (system.n_free, system.n_free), matvec=system.linear_action)
-    x, residuals = restarted_gmres(op, b, tol, restart, "hybrid")
-    full[~system.index.dirichlet_mask] = x
+        (system.n_free, system.n_free), matvec=lambda v: system.linear_action(sweep.solve(v)))
+    y, residuals = restarted_gmres(op, b, tol, restart, "hybrid")
+    full[~system.index.dirichlet_mask] = sweep.solve(y)
     return (SkeletonState(values=full, dirichlet_mask=bc.dirichlet_mask),
             HybridSolveInfo(iterations=len(residuals), residuals=residuals))
 

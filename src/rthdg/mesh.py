@@ -107,6 +107,20 @@ def build_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
                 face_plus=face_plus, face_axis=face_axis, elem_faces=elem_faces)
 
 
+def wavefront_steps(mesh: Mesh, cos, sin) -> np.ndarray:
+    """Wavefront step kx + ky of every element per direction, shape (n_elems, n_dirs).
+
+    Steps count from the direction's inflow corner: kx = ix when cos > 0,
+    else nx - 1 - ix, and ky likewise with sin. A direction with cos > 0
+    leaves an element through its right face and one with sin > 0 through
+    its top face, so an element's upwind neighbors are one step earlier.
+    """
+    iy, ix = np.divmod(np.arange(mesh.n_elems), mesh.nx)
+    kx = np.where(np.asarray(cos) > 0, ix[:, None], mesh.nx - 1 - ix[:, None])
+    ky = np.where(np.asarray(sin) > 0, iy[:, None], mesh.ny - 1 - iy[:, None])
+    return kx + ky
+
+
 def refinement_schedule(case: str, level: int) -> tuple[int, int]:
     """Mesh partition (nx, ny) of a named test case at a refinement level."""
     if level < 0:

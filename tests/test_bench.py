@@ -310,6 +310,18 @@ def test_untrained_surrogate_stalls_early():
     assert len(err.value.residuals) == 2 * GMRES_RESTART
 
 
+def test_non_finite_residual_fails_at_once():
+    # one NaN output bias makes every skeleton residual NaN, which the stall
+    # test never flags: GMRES must fail at the first one, not at its cycle cap
+    model = init_mlp(3, 3, 8, seed=0)
+    model.biases[-1][0] = np.nan
+    t0 = time.perf_counter()
+    with pytest.raises(SolverFailure, match="nan") as err:
+        bench.run_case(THICK, "hdg-el", level=1, model=model)
+    assert time.perf_counter() - t0 < 5.0
+    assert not np.isfinite(err.value.residuals[-1])
+
+
 def test_slow_converging_solves_do_not_stall():
     # thick-cloud DG restarted every 50 iterations needs several restart
     # cycles; each still lowers the residual by far more than the stall fraction

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rthdg import bench
 from rthdg import dg as dgm
 from rthdg import pool
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
+from rthdg.cases import default_config
 from rthdg.errors import SolverFailure
 from rthdg.hybrid import (ElementNodalField, SkeletonState, assemble_hybrid,
                           project_boundary, recover_mean_intensity,
@@ -174,13 +178,110 @@ def test_skeleton_apply_bitwise_equal_across_workers(monkeypatch):
     def outputs(ops, workers):
         system = assemble_hybrid(index, ops, workers=workers)
         return [system.linear_action(v).tobytes(), system.rhs(bc).tobytes(),
-                recover_mean_intensity(uhat, ops, index, workers=workers).values.tobytes()]
+                recover_mean_intensity(uhat, ops, index, workers=workers).values.tobytes(),
+                system.preconditioner().blocks.tobytes(),
+                solve_hybrid(system, bc, tol=1e-10)[0].values.tobytes()]
 
     want = outputs(listed, 1)  # one block: below pool.MIN_BLOCK_WORK
     monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1)  # one element is enough for a block
     for workers in (1, 2, 4):
         assert outputs(listed, workers) == want
         assert outputs(stacked, workers) == want
+
+
+def skeleton_matrix(system):
+    """Dense I - A on the free DOFs, one linear_action per column."""
+    return np.stack([system.linear_action(col) for col in np.eye(system.n_free)], axis=1)
+
+
+def same_quadrant(index):
+    """Mask of free-DOF pairs whose angles share the signs of cos and sin."""
+    grid = index.grid
+    quadrant = 2 * (grid.cos_int > 0) + (grid.sin_int > 0)
+    q = quadrant[np.flatnonzero(~index.dirichlet_mask) % grid.n_elems]
+    return q[:, None] == q[None, :]
+
+
+def random_ops(rng, index):
+    """Random in2out blocks of norm about 1 (the other operators zero)."""
+    n_el, n, n_sp = index.mesh.n_elems, index.tracemap.n_in, (index.p + 1) ** 2
+    return ElementOperators(a_i2o=rng.standard_normal((n_el, n, n)) / n,
+                            a_i2m=np.zeros((n_el, n_sp, n)), fhat_u=np.zeros((n_el, n)),
+                            f_mean=np.zeros((n_el, n_sp)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4), p=st.integers(1, 3),
+       na=st.sampled_from([4, 8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_skeleton_sweep_is_exact_inverse_of_quadrant_blocks(nx, ny, p, na, seed):
+    # P = I - A_qq keeps A's couplings between angles of one quadrant; the sweep applies P^-1
+    rng = np.random.default_rng(seed)
+    grid = build_angular_grid(na)
+    mesh = build_mesh(float(nx), float(ny), nx, ny)
+    index = skeleton_numbering(mesh, grid, p)
+    system = assemble_hybrid(index, random_ops(rng, index))
+    a = np.eye(system.n_free) - skeleton_matrix(system)
+    r = rng.standard_normal(system.n_free)
+    x_ref = np.linalg.solve(np.eye(system.n_free) - a * same_quadrant(index), r)
+    x = system.preconditioner().solve(r)
+    assert np.abs(x - x_ref).max() < 1e-12 * np.abs(x_ref).max()
+
+
+def test_sweep_stack_independent_of_the_copy_split(monkeypatch):
+    # on a 4 x 3 mesh a (step, quadrant) group holds up to 3 blocks, so some
+    # worker counts cut groups in the middle; every split copies the same stack
+    grid = build_angular_grid(8)
+    index = skeleton_numbering(build_mesh(4.0, 3.0, 4, 3), grid, 1)
+    ops = random_ops(np.random.default_rng(21), index)
+    want = assemble_hybrid(index, ops, workers=1).preconditioner().blocks.tobytes()
+    monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1)  # one block is enough for a split
+    for workers in (2, 3, 4, 5):
+        sweep = assemble_hybrid(index, ops, workers=workers).preconditioner()
+        assert sweep.blocks.tobytes() == want
+
+
+def scattering_system(sigma_s_scale, seed=17):
+    """3 x 2 mesh, p = 2, N_a = 8, random coefficients, beam data."""
+    rng = np.random.default_rng(seed)
+    p, na = 2, 8
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, 0.8)
+    mesh = build_mesh(3.0, 2.0, 3, 2)
+    index = skeleton_numbering(mesh, grid, p)
+    sigmas = [SigmaField(sigma_e=se, sigma_s=sigma_s_scale * se)
+              for se in rng.uniform(0, 4, (mesh.n_elems, p + 1, p + 1))]
+    system = assemble_hybrid(index, exact_ops(mesh, grid, kernel, sigmas))
+    return system, project_boundary(beam_bc(grid, 6), index)
+
+
+def test_sweep_is_exact_without_scattering():
+    # sigma_s = 0: A couples each angle only to itself, so P = I - A and
+    # the right-preconditioned operator is the identity
+    system, bc = scattering_system(0.0)
+    uhat, info = solve_hybrid(system, bc, tol=1e-10)
+    assert info.iterations == 1
+    i_minus_a = skeleton_matrix(system)
+    assert np.array_equal(i_minus_a * same_quadrant(system.index), i_minus_a)
+
+
+def test_reported_residual_is_true_residual():
+    # right preconditioning leaves GMRES's residual that of (I - A) x = b
+    system, bc = scattering_system(0.9)
+    tol = 1e-6
+    uhat, info = solve_hybrid(system, bc, tol=tol)
+    b = system.rhs(bc)
+    x = uhat.values[~system.index.dirichlet_mask]
+    true = np.linalg.norm(b - system.linear_action(x)) / np.linalg.norm(b)
+    assert info.iterations > 1
+    assert info.residuals[-1] <= tol
+    assert abs(info.residuals[-1] - true) < 1e-12
+
+
+def test_desk_skeleton_solve_needs_few_iterations():
+    # desk idealized-1 at level 4, cloud amplitude 10: 31 iterations without the sweep
+    cfg = default_config("idealized-1", p=3, n_a=8, beam_index=7)
+    report, _ = bench.run_case(cfg, "hdg", level=4)
+    assert report.gmres_iters <= 8
 
 
 def test_missing_element_operators():
