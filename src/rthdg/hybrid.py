@@ -130,11 +130,10 @@ class HybridSystem:
         b[self.out_free.reshape(-1)] = y.reshape(-1)
         return b
 
-    def preconditioner(self, workers: int | None = None) -> "SkeletonSweep":
-        """The sweep that applies P^-1 (cached; its set-up runs on `workers`
-        threads, None: the system's)."""
+    def preconditioner(self) -> "SkeletonSweep":
+        """The sweep that applies P^-1 (cached)."""
         if self._precond is None:
-            self._precond = SkeletonSweep(self, self.workers if workers is None else workers)
+            self._precond = SkeletonSweep(self)
         return self._precond
 
 
@@ -146,7 +145,7 @@ class SkeletonSweep:
     that a step's blocks are contiguous.
     """
 
-    def __init__(self, system: HybridSystem, workers: int | None = None):
+    def __init__(self, system: HybridSystem):
         index = system.index
         mesh, tm, n_el = index.mesh, index.tracemap, index.mesh.n_elems
         quadrant = (index.grid.midpoints // (0.5 * np.pi)).astype(int)
@@ -173,20 +172,11 @@ class SkeletonSweep:
         # the elements of one step and quadrant lie on a diagonal of the
         # mesh: a strided slice of the element axis
         first = np.flatnonzero(np.diff(step[elem, quad] * 4 + quad, prepend=-1))
-        groups = []
-        for lo, hi in zip(first, np.append(first[1:], elem.size)):
-            stride = elem[lo + 1] - elem[lo] if hi - lo > 1 else 1
-            groups.append((lo, hi, src[quad[lo]][elem[lo]:elem[hi - 1] + 1:stride]))
         self.blocks = np.empty((elem.size, m, m))
         dst = self.blocks.reshape(elem.size, *src[0].shape[1:])
-
-        def copy(lo, hi):
-            for g_lo, g_hi, part in groups:
-                k0, k1 = max(lo, g_lo), min(hi, g_hi)
-                if k0 < k1:
-                    dst[k0:k1] = part[k0 - g_lo:k1 - g_lo]
-
-        run_blocks(copy, element_bounds(elem.size, m * m, workers), workers)
+        for lo, hi in zip(first, np.append(first[1:], elem.size)):
+            stride = elem[lo + 1] - elem[lo] if hi - lo > 1 else 1
+            dst[lo:hi] = src[quad[lo]][elem[lo]:elem[hi - 1] + 1:stride]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """P^-1 r: the blocks of one wavefront step read only earlier steps."""

@@ -301,7 +301,7 @@ def test_dg_assembly_is_timed(monkeypatch):
 
 def test_untrained_surrogate_stalls_early():
     # an untrained net gives non-contractive operators: the skeleton GMRES
-    # stalls near 0.317 and must fail after two restart cycles, not grind
+    # stalls near 1.0 and must fail after two restart cycles, not grind
     # toward its cycle cap
     t0 = time.perf_counter()
     with pytest.raises(SolverFailure, match="stalled") as err:

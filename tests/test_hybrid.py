@@ -227,19 +227,6 @@ def test_skeleton_sweep_is_exact_inverse_of_quadrant_blocks(nx, ny, p, na, seed)
     assert np.abs(x - x_ref).max() < 1e-12 * np.abs(x_ref).max()
 
 
-def test_sweep_stack_independent_of_the_copy_split(monkeypatch):
-    # on a 4 x 3 mesh a (step, quadrant) group holds up to 3 blocks, so some
-    # worker counts cut groups in the middle; every split copies the same stack
-    grid = build_angular_grid(8)
-    index = skeleton_numbering(build_mesh(4.0, 3.0, 4, 3), grid, 1)
-    ops = random_ops(np.random.default_rng(21), index)
-    want = assemble_hybrid(index, ops, workers=1).preconditioner().blocks.tobytes()
-    monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1)  # one block is enough for a split
-    for workers in (2, 3, 4, 5):
-        sweep = assemble_hybrid(index, ops, workers=workers).preconditioner()
-        assert sweep.blocks.tobytes() == want
-
-
 def scattering_system(sigma_s_scale, seed=17):
     """3 x 2 mesh, p = 2, N_a = 8, random coefficients, beam data."""
     rng = np.random.default_rng(seed)
