@@ -25,7 +25,7 @@ from .hybrid import (ElementNodalField, assemble_hybrid, project_boundary,
 from .local import ElementOperators, solve_element
 from .mesh import build_mesh, refinement_schedule, skeleton_numbering
 from .pool import default_workers, run_blocks, split
-from .surrogate import (DEFAULT_SCHEDULE, DESK_SCHEDULE, MlpModel, init_mlp,
+from .surrogate import (DEFAULT_SCHEDULE, DESK_SCHEDULE, MlpModel, check_training, init_mlp,
                         model_fingerprint, predict_local_ops_batch, save_model, train)
 
 METHODS = ("dg", "hdg", "hdg-el")
@@ -297,6 +297,7 @@ def train_pipeline(tcfg: TrainConfig, out_dir, dataset=None, log_every: int = 0)
 
     Returns (model path, csv path, TrainState).
     """
+    check_training(tcfg.schedule, tcfg.batch_size)  # before any label is computed
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if dataset is None:

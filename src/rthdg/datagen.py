@@ -7,8 +7,10 @@ draw on [0, A_sigma]. Labels are the flattened (in2out, in2mean) operator
 pair computed by the exact local solver on the reference element.
 
 Randomness uses the counter-based Philox generator keyed by
-(seed, sample index), so each sample has its own reproducible stream and
-label generation parallelizes trivially.
+(seed, stream index). Sample i is first drawn from stream i, so the samples
+are labelled in contiguous blocks on the element worker pool; a draw whose
+field or solve fails is redrawn afterwards, in sample order, from the
+streams n_samp, n_samp + 1, ... Every worker count gives the same bytes.
 """
 
 import hashlib
@@ -21,9 +23,17 @@ from .angular import build_angular_grid, scattering_kernel_matrix
 from .basis import modal_nodal_transform
 from .errors import FormatError, SolverFailure
 from .local import SigmaField, solve_element
-from .surrogate import flatten_operators
+from .pool import element_bounds, run_blocks
+from .surrogate import flatten_operators, input_size, output_size
 
 DATASET_FORMAT_VERSION = 1
+#: label work (n_vol^3 per label, its element LU) below which a block of labels
+#: stays on the calling thread: 32 desk labels (128 x 128). On a 2-core Xeon
+#: with BLAS pinned, splitting desk labels over two threads, against one, gave
+#: perfbench thick 1,580 -> 1,832 labels/s (4 of 4 alternating pairs) and learn
+#: 1,800 -> 1,793 labels/s (3 of 5 pairs won), with peak RSS within 0.1 MB in
+#: both; five paper-scale labels (1372 x 1372) took 555 -> 300 ms.
+_SPLIT_LABEL_WORK = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -101,12 +111,16 @@ def dataset_fingerprint(inputs: np.ndarray, labels: np.ndarray) -> str:
 
 
 def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
-                     n_samp: int, seed: int = 0, train_fraction: float = 0.8) -> Dataset:
+                     n_samp: int, seed: int = 0, train_fraction: float = 0.8,
+                     workers: int | None = None) -> Dataset:
     """Sample coefficients and label them with the exact local pipeline (h = 2).
 
     Deterministic under a fixed seed; the split is 80/20 by sample index.
-    A failed local solve is recorded and the sample redrawn from a fresh
-    stream (a probability-zero event kept for robustness).
+    The samples are labelled in contiguous blocks on `workers` threads
+    (None: `pool.default_workers()`) when their work reaches
+    `_SPLIT_LABEL_WORK` per block. A failed local solve is recorded and the
+    sample redrawn from a fresh stream (a probability-zero event kept for
+    robustness); the redraws run on the calling thread in sample order.
     """
     if n_samp < 5:
         raise ValueError(f"need at least 5 samples for a meaningful split, got {n_samp}")
@@ -114,28 +128,35 @@ def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
         raise ValueError("sampler degrees must match the label discretization")
     grid = build_angular_grid(disc.n_a)
     kernel = scattering_kernel_matrix(grid, disc.g_asym)
-    inputs = None
-    labels = None
-    resamples = 0
-    fresh = n_samp  # next stream index for redraws
-    for i in range(n_samp):
-        stream = i
-        while True:
-            try:
-                sigma_s = sample_sigma(sampler, sample_rng(seed, stream))
-                ops = solve_element(SigmaField.from_scattering(sigma_s, disc.omega),
-                                    grid, kernel, h=2.0, element_index=f"sample {i}")
-                break
-            except (_DegenerateSample, SolverFailure):
-                resamples += 1
-                stream = fresh
-                fresh += 1
-        row = flatten_operators(ops)
-        if inputs is None:
-            inputs = np.empty((n_samp, sigma_s.size))
-            labels = np.empty((n_samp, row.size))
+    n_in = input_size(disc.p, disc.p)
+    inputs = np.empty((n_samp, n_in))
+    labels = np.empty((n_samp, output_size(disc.p, disc.p, disc.n_a)))
+
+    def label(i, stream):
+        """Fill row i from `stream`; False if the field or its solve fails."""
+        try:
+            sigma_s = sample_sigma(sampler, sample_rng(seed, stream))
+            ops = solve_element(SigmaField.from_scattering(sigma_s, disc.omega),
+                                grid, kernel, h=2.0, element_index=f"sample {i}")
+        except (_DegenerateSample, SolverFailure):
+            return False
         inputs[i] = sigma_s.reshape(-1)
-        labels[i] = row
+        labels[i] = flatten_operators(ops)
+        return True
+
+    def label_block(lo, hi):
+        return [i for i in range(lo, hi) if not label(i, i)]
+
+    bounds = element_bounds(n_samp, (n_in * disc.n_a) ** 3, workers,
+                            min_work=_SPLIT_LABEL_WORK)
+    failed = [i for block in run_blocks(label_block, bounds, workers) for i in block]
+    resamples = len(failed)
+    fresh = n_samp  # next stream index for redraws
+    for i in failed:
+        while not label(i, fresh):
+            resamples += 1
+            fresh += 1
+        fresh += 1
     n_train = int(round(train_fraction * n_samp))
     meta = {
         "version": DATASET_FORMAT_VERSION,
@@ -171,6 +192,8 @@ def load_dataset(path, expect: DiscretizationConfig | None = None) -> Dataset:
         raise FormatError(f"{path}: corrupt dataset file ({exc})") from exc
     if meta.get("version") != DATASET_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported dataset version {meta.get('version')}")
+    if meta.get("fingerprint") != dataset_fingerprint(ds.inputs, ds.labels):
+        raise FormatError(f"{path}: inputs and labels do not match the stored fingerprint")
     if expect is not None:
         got = meta.get("disc", {})
         want = asdict(expect)

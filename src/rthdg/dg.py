@@ -256,8 +256,9 @@ def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART,
     if not np.any(system.b):
         return np.zeros(system.n_dofs), DgSolveInfo(iterations=0)
     sweep = system.preconditioner(workers=workers)
+    # dtype given, so that scipy does not probe it with one sweep of a zero vector
     mop = scipy.sparse.linalg.LinearOperator(
-        (system.n_dofs, system.n_dofs), matvec=sweep.solve)
+        (system.n_dofs, system.n_dofs), matvec=sweep.solve, dtype=float)
     x, residuals = restarted_gmres(system.matrix, system.b, tol, restart, "DG", M=mop)
     return x, DgSolveInfo(iterations=len(residuals), residuals=residuals)
 

@@ -276,8 +276,10 @@ def solve_hybrid(system: HybridSystem, bc: SkeletonState, tol: float = 1e-4,
         return (SkeletonState(values=full, dirichlet_mask=bc.dirichlet_mask),
                 HybridSolveInfo(iterations=0))
     sweep = system.preconditioner()
+    # dtype given, so that scipy does not probe it with one matvec of a zero vector
     op = scipy.sparse.linalg.LinearOperator(
-        (system.n_free, system.n_free), matvec=lambda v: system.linear_action(sweep.solve(v)))
+        (system.n_free, system.n_free), matvec=lambda v: system.linear_action(sweep.solve(v)),
+        dtype=float)
     y, residuals = restarted_gmres(op, b, tol, restart, "hybrid")
     full[~system.index.dirichlet_mask] = sweep.solve(y)
     return (SkeletonState(values=full, dirichlet_mask=bc.dirichlet_mask),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FormatError, ModelMismatch
 from .local import ElementOperators, LocalOperators, SigmaField
-from .pool import run_blocks
+from .pool import default_workers, element_bounds, run_blocks
 
 MAGIC = b"RTHDGMLP"
 FORMAT_VERSION = 1
@@ -110,12 +110,30 @@ def elu_grad(z):
     return np.where(z >= 0, 1.0, np.exp(np.minimum(z, 0.0)))
 
 
+def _output_layer(h, w, b, workers):
+    """h @ w + b, in column blocks of `_FORWARD_BLOCK` on `workers` threads.
+
+    Each block adds its bias in place, so no second output-sized array is made.
+    """
+    out = np.empty((h.shape[0], w.shape[1]))
+
+    def output_block(lo, hi):
+        np.matmul(h, w[:, lo:hi], out=out[:, lo:hi])
+        out[:, lo:hi] += b[lo:hi]
+
+    run_blocks(output_block, _column_bounds(w.shape[1]), workers)
+    return out
+
+
+def _column_bounds(n_cols):
+    return [*range(0, n_cols, _FORWARD_BLOCK), n_cols]
+
+
 def forward(model: MlpModel, x: np.ndarray, workers: int | None = None) -> np.ndarray:
     """Forward propagation; x is one input vector or a (batch, N_in) array.
 
     The output layer is computed in column blocks of `_FORWARD_BLOCK`,
-    spread over `workers` threads (None: `pool.default_workers()`); each
-    block adds its bias in place, so no second output-sized array is made.
+    spread over `workers` threads (None: `pool.default_workers()`).
     """
     x = np.asarray(x, float)
     single = x.ndim == 1
@@ -126,57 +144,65 @@ def forward(model: MlpModel, x: np.ndarray, workers: int | None = None) -> np.nd
         h = h @ w
         h += b
         h = elu(h)
-    w, b = model.weights[-1], model.biases[-1]
-    out = np.empty((h.shape[0], w.shape[1]))
-
-    def output_block(lo, hi):
-        np.matmul(h, w[:, lo:hi], out=out[:, lo:hi])
-        out[:, lo:hi] += b[lo:hi]
-
-    run_blocks(output_block, [*range(0, w.shape[1], _FORWARD_BLOCK), w.shape[1]], workers)
+    out = _output_layer(h, model.weights[-1], model.biases[-1], workers)
     return out[0] if single else out
 
 
-def _forward_cached(model, x):
+def _forward_cached(model, x, workers):
     acts = [x]  # post-activation values per layer, acts[0] is the input
     pre = []
     h = x
-    last = model.n_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
         z = h @ w
         z += b
         pre.append(z)
-        h = elu(z) if i != last else z
+        h = elu(z)
         acts.append(h)
+    z = _output_layer(h, model.weights[-1], model.biases[-1], workers)
+    pre.append(z)
+    acts.append(z)
     return acts, pre
 
 
-def mae_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
+def mae_loss(model: MlpModel, x: np.ndarray, y: np.ndarray, workers: int | None = None) -> float:
     """Mean absolute error of the outputs, formed in place on the forward output."""
-    resid = forward(model, x)
+    resid = forward(model, x, workers=workers)
     resid -= y
     np.abs(resid, out=resid)
     return float(np.mean(resid))
 
 
-def mae_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
+def mae_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, out=None,
+                  workers: int | None = None):
     """Analytic MAE gradients; subgradient 0 at exact zeros of the residual.
 
-    Returns (loss, weight grads, bias grads).
+    Returns (loss, weight grads, bias grads). The output layer's weight
+    gradient is written into `out` when given (an array of that weight's
+    shape, which the caller reuses across steps), else into a new array;
+    both output-layer products run in the forward pass's column blocks on
+    `workers` threads (None: `pool.default_workers()`).
     """
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
-    acts, pre = _forward_cached(model, x)
+    acts, pre = _forward_cached(model, x, workers)
     resid = acts[-1] - y
     loss = float(np.mean(np.abs(resid)))
     delta = np.sign(resid) / resid.size
-    gws = [None] * model.n_layers
-    gbs = [None] * model.n_layers
-    for i in range(model.n_layers - 1, -1, -1):
-        gws[i] = acts[i].T @ delta
-        gbs[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * elu_grad(pre[i - 1])
+    last = model.n_layers - 1
+    gw = np.empty(model.weights[last].shape) if out is None else out
+    h = acts[last].T
+
+    def gradient_block(lo, hi):
+        np.matmul(h, delta[:, lo:hi], out=gw[:, lo:hi])
+
+    run_blocks(gradient_block, _column_bounds(gw.shape[1]), workers)
+    gws = [None] * last + [gw]
+    gbs = [None] * last + [delta.sum(axis=0)]
+    for i in range(last, 0, -1):
+        # one product, so its reduction over the output columns keeps its order
+        delta = (delta @ model.weights[i].T) * elu_grad(pre[i - 1])
+        gws[i - 1] = acts[i - 1].T @ delta
+        gbs[i - 1] = delta.sum(axis=0)
     return loss, gws, gbs
 
 
@@ -244,6 +270,27 @@ def _adam_step(param, grad, mom, vel, lr, corr1, corr2, scratch):
             p -= t1
 
 
+def _adam_update(param, grad, mom, vel, lr, corr1, corr2, scratches, workers):
+    """`_adam_step` on contiguous row blocks on `workers` threads, with
+    `scratches[k]` the scratch pair of block k (one pair per worker).
+
+    A parameter below `pool.MIN_BLOCK_WORK` elements stays one block on the
+    calling thread. The update is elementwise, so every split gives the same bits.
+    """
+    n_rows = param.shape[0] if param.ndim == 2 else 1
+    bounds = element_bounds(n_rows, param.size // n_rows, workers)
+    if len(bounds) == 2:  # one block: skip the per-call set-up of the split
+        _adam_step(param, grad, mom, vel, lr, corr1, corr2, scratches[0])
+        return
+    arrays = [np.atleast_2d(a) for a in (param, grad, mom, vel)]
+
+    def update_block(lo, hi):
+        _adam_step(*(a[lo:hi] for a in arrays), lr, corr1, corr2,
+                   scratches[bounds.index(lo)])
+
+    run_blocks(update_block, bounds, workers)
+
+
 def _check_state(model, state):
     """Raise ValueError unless every Adam moment has its parameter's shape."""
     for kind, params, moments in (("weight", model.weights, (state.m_w, state.v_w)),
@@ -258,23 +305,39 @@ def _check_state(model, state):
                                      f"moment shape {m.shape}, parameter shape {p.shape}")
 
 
+def check_training(schedule, batch_size: int) -> None:
+    """Raise ValueError for a batch size below 1 or a schedule (None: not
+    checked) of no epochs."""
+    if batch_size < 1:
+        raise ValueError(f"batch size must be at least 1, got {batch_size}")
+    if schedule is not None and sum(n for n, _ in schedule) < 1:
+        raise ValueError(f"the training schedule {tuple(map(tuple, schedule))} has no epochs")
+
+
 def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int = 50,
-          seed: int = 0, state: TrainState | None = None, log_every: int = 0) -> TrainState:
+          seed: int = 0, state: TrainState | None = None, log_every: int = 0,
+          workers: int | None = None) -> TrainState:
     """Adam/MAE training over the dataset's train split, tracking test MAE.
 
     The recorded train MAE is the average of the minibatch losses seen
     during the epoch; the test MAE is a full evaluation of the held-out
     split at epoch end; each history entry also holds the epoch's wall time
-    in seconds. Raises ArithmeticError if the loss goes non-finite, and
-    ValueError if a resumed `state` does not fit the model's layers.
+    in seconds. The output-layer products and the Adam update of parameters
+    above `pool.MIN_BLOCK_WORK` elements run in blocks on `workers` threads
+    (None: `pool.default_workers()`); every worker count gives the same bits.
+    Raises ArithmeticError if the loss goes non-finite, and ValueError for
+    `batch_size < 1`, for a fresh schedule of no epochs and for a resumed
+    `state` that does not fit the model's layers.
     Drops the model's cached fingerprint, since the weights change.
     """
+    check_training(schedule if state is None else None, batch_size)
     xs = dataset.inputs[dataset.train_idx]
     ys = dataset.labels[dataset.train_idx]
     xt = dataset.inputs[dataset.test_idx]
     yt = dataset.labels[dataset.test_idx]
     if xs.shape[0] == 0:
         raise ValueError("empty training split")
+    total_epochs = sum(n for n, _ in schedule)
     if state is None:
         state = TrainState(schedule=tuple(schedule),
                            m_w=[np.zeros_like(w) for w in model.weights],
@@ -285,9 +348,10 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
         _check_state(model, state)
     model.meta.pop("fingerprint", None)
     rng = np.random.default_rng(seed)
-    total_epochs = sum(n for n, _ in schedule)
     n_train = xs.shape[0]
-    scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
+    workers = default_workers() if workers is None else workers
+    scratches = [(np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)) for _ in range(workers)]
+    grad_out = np.empty(model.weights[-1].shape)
     while state.epoch < total_epochs:
         t0 = time.perf_counter()
         lr = _schedule_lr(schedule, state.epoch)
@@ -295,19 +359,20 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
         batch_losses = []
         for lo in range(0, n_train, batch_size):
             idx = perm[lo:lo + batch_size]
-            loss, gws, gbs = mae_gradients(model, xs[idx], ys[idx])
+            loss, gws, gbs = mae_gradients(model, xs[idx], ys[idx], out=grad_out,
+                                           workers=workers)
             batch_losses.append(loss)
             state.step += 1
             t = state.step
             corr1 = 1.0 - ADAM_BETA1 ** t
             corr2 = 1.0 - ADAM_BETA2 ** t
             for i in range(model.n_layers):
-                _adam_step(model.weights[i], gws[i], state.m_w[i], state.v_w[i],
-                           lr, corr1, corr2, scratch)
-                _adam_step(model.biases[i], gbs[i], state.m_b[i], state.v_b[i],
-                           lr, corr1, corr2, scratch)
+                _adam_update(model.weights[i], gws[i], state.m_w[i], state.v_w[i],
+                             lr, corr1, corr2, scratches, workers)
+                _adam_update(model.biases[i], gbs[i], state.m_b[i], state.v_b[i],
+                             lr, corr1, corr2, scratches, workers)
         train_mae = float(np.mean(batch_losses))
-        test_mae = mae_loss(model, xt, yt) if xt.shape[0] else float("nan")
+        test_mae = mae_loss(model, xt, yt, workers=workers) if xt.shape[0] else float("nan")
         if not np.isfinite(train_mae):
             raise ArithmeticError(
                 f"non-finite training loss at epoch {state.epoch} (lr={lr}); "

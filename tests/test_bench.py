@@ -494,6 +494,17 @@ def test_cli_dataset_mismatch_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [("--epochs", "0", "no epochs"),
+                                                   ("--batch-size", "0", "batch size")])
+def test_cli_train_rejects_empty_schedule_and_zero_batch(tmp_path, capsys, flag, value, message):
+    rc = cli.main(["train", "--out", str(tmp_path / "t"), "--p", "2", "--n-a", "8",
+                   "--n-samp", "8", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and message in err
+    assert "Traceback" not in err and not (tmp_path / "t").exists()
+
+
 def test_cli_full_scale_flag_parses():
     args = cli.build_parser().parse_args(["train", "--out", "x", "--full-scale"])
     tcfg = cli._train_config(args)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from rthdg.basis import modal_nodal_transform
 from rthdg.datagen import (DiscretizationConfig, SamplerConfig,
                            dataset_fingerprint, generate_dataset, load_dataset,
                            modal_decay, sample_rng, sample_sigma, save_dataset)
-from rthdg.errors import FormatError
+from rthdg.errors import FormatError, SolverFailure
 from rthdg.local import SigmaField, solve_element
 from rthdg.surrogate import flatten_operators
 
@@ -100,6 +102,37 @@ def test_labels_match_local_solver_exactly():
         np.testing.assert_array_equal(ds.labels[i], flatten_operators(ops))
 
 
+def test_generate_dataset_bytes_independent_of_workers(monkeypatch):
+    # samples 3 and 11 fail on their first draw, and 11 on its first redraw
+    # too: the redraws take the fresh streams 20, 21 and 22 in sample order
+    fails = {"sample 3": 1, "sample 11": 2}
+    lock = threading.Lock()
+
+    def failing_solve(*args, element_index=None, **kwargs):
+        with lock:
+            left = fails.get(element_index, 0)
+            fails[element_index] = left - 1
+        if left > 0:
+            raise SolverFailure(f"{element_index}: forced failure")
+        return solve_element(*args, element_index=element_index, **kwargs)
+
+    monkeypatch.setattr(datagen, "solve_element", failing_solve)
+    monkeypatch.setattr(datagen, "_SPLIT_LABEL_WORK", 1)  # desk labels split too
+    runs = []
+    for workers in (1, 2, 4):
+        fails.update({"sample 3": 1, "sample 11": 2})
+        runs.append(generate_dataset(DESK_SAMPLER, DESK_DISC, 20, seed=4, workers=workers))
+    first = runs[0]
+    assert first.meta["resamples"] == 3
+    for i, stream in ((3, 20), (11, 22), (12, 12)):
+        want = sample_sigma(DESK_SAMPLER, sample_rng(4, stream)).reshape(-1)
+        assert first.inputs[i].tobytes() == want.tobytes()
+    for ds in runs[1:]:
+        assert ds.inputs.tobytes() == first.inputs.tobytes()
+        assert ds.labels.tobytes() == first.labels.tobytes()
+        assert ds.meta == first.meta
+
+
 def test_generate_determinism():
     a = generate_dataset(DESK_SAMPLER, DESK_DISC, 10, seed=9)
     b = generate_dataset(DESK_SAMPLER, DESK_DISC, 10, seed=9)
@@ -118,6 +151,19 @@ def test_dataset_io_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.train_idx, ds.train_idx)
     assert back.meta == ds.meta
+
+
+def test_load_dataset_rejects_a_changed_label_byte(tmp_path):
+    ds = generate_dataset(DESK_SAMPLER, DESK_DISC, 8, seed=1)
+    path = tmp_path / "ds.npz"
+    save_dataset(ds, path)
+    assert load_dataset(path).labels.tobytes() == ds.labels.tobytes()
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays["labels"].view(np.uint8).reshape(-1)[1000] ^= 1
+    np.savez(path, **arrays)
+    with pytest.raises(FormatError, match="fingerprint"):
+        load_dataset(path)
 
 
 def test_dataset_io_header_mismatch(tmp_path):

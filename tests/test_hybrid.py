@@ -9,7 +9,7 @@ from rthdg import pool
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
 from rthdg.cases import default_config
 from rthdg.errors import SolverFailure
-from rthdg.hybrid import (ElementNodalField, SkeletonState, assemble_hybrid,
+from rthdg.hybrid import (ElementNodalField, HybridSystem, SkeletonState, assemble_hybrid,
                           project_boundary, recover_mean_intensity,
                           recover_solution, relative_l2_error, solve_hybrid)
 from rthdg.local import ElementOperators, LocalOperators, SigmaField, solve_element
@@ -262,6 +262,19 @@ def test_reported_residual_is_true_residual():
     assert info.iterations > 1
     assert info.residuals[-1] <= tol
     assert abs(info.residuals[-1] - true) < 1e-12
+
+
+def test_solve_makes_no_dtype_probe_matvec(monkeypatch):
+    # one linear action per GMRES iteration plus the initial residual; a
+    # LinearOperator without a dtype would cost one more on a zero vector
+    system, bc = scattering_system(0.9)
+    calls = []
+    action = HybridSystem.linear_action
+    monkeypatch.setattr(HybridSystem, "linear_action",
+                        lambda self, v: calls.append(1) or action(self, v))
+    _, info = solve_hybrid(system, bc, tol=1e-6)
+    assert 1 < info.iterations < 200  # one restart cycle
+    assert len(calls) == info.iterations + 1
 
 
 def test_desk_skeleton_solve_needs_few_iterations():

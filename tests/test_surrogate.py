@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rthdg import surrogate
+from rthdg import pool, surrogate
 from rthdg.errors import FormatError, ModelMismatch
 from rthdg.local import SigmaField
 from rthdg.surrogate import (_ADAM_CHUNK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
@@ -153,6 +153,63 @@ def test_train_determinism():
         models.append(m)
     for wa, wb in zip(models[0].weights, models[1].weights):
         np.testing.assert_array_equal(wa, wb)
+
+
+@pytest.mark.parametrize("batch_size, schedule", [(0, ((1, 1e-3),)), (1, ((0, 1e-3),)),
+                                                   (1, ((0, 1e-3), (0, 1e-4)))])
+def test_train_rejects_zero_batch_size_and_empty_schedule(batch_size, schedule):
+    with pytest.raises(ValueError, match="batch size|no epochs"):
+        train(init_mlp(3, 3, 8, n_layers=1), one_sample_dataset(), schedule=schedule,
+              batch_size=batch_size)
+
+
+def random_dataset(n_samp=12, seed=3):
+    rng = np.random.default_rng(seed)
+    return SimpleNamespace(inputs=rng.uniform(0, 10, (n_samp, 16)),
+                           labels=0.05 * rng.standard_normal((n_samp, 5120)),
+                           train_idx=np.arange(n_samp - 3),
+                           test_idx=np.arange(n_samp - 3, n_samp))
+
+
+def trained_bytes(workers):
+    model = init_mlp(3, 3, 8, n_layers=3, seed=1)
+    state = train(model, random_dataset(), schedule=((3, 1e-3),), batch_size=4, seed=2,
+                  workers=workers)
+    arrays = model.weights + model.biases + state.m_w + state.v_w + state.m_b + state.v_b
+    losses = [(h["train_mae"], h["test_mae"]) for h in state.history]
+    return [a.tobytes() for a in arrays], losses
+
+
+def test_train_bitwise_equal_across_workers(monkeypatch):
+    want = trained_bytes(workers=1)
+    # a desk model takes the pooled path: the output layer's products in
+    # 80 column blocks, its weight update in row blocks
+    monkeypatch.setattr(surrogate, "_FORWARD_BLOCK", 64)
+    monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1024)
+    blocks = []
+    run_blocks = surrogate.run_blocks
+    monkeypatch.setattr(surrogate, "run_blocks",
+                        lambda kernel, bounds, workers: blocks.append(len(bounds) - 1)
+                        or run_blocks(kernel, bounds, workers))
+    for workers in (1, 2, 4):
+        blocks.clear()
+        assert trained_bytes(workers) == want
+        assert max(blocks) == 80
+        # the output-layer weight update: 32 rows in one block per worker
+        assert workers == 1 or workers in blocks
+
+
+def test_mae_gradients_into_reused_buffer_equal_fresh_ones():
+    model = init_mlp(3, 3, 8, n_layers=3, seed=5)
+    ds = random_dataset()
+    loss, gws, gbs = mae_gradients(model, ds.inputs[:5], ds.labels[:5])
+    out = np.full(model.weights[-1].shape, np.nan)
+    for workers in (1, 2):
+        got = mae_gradients(model, ds.inputs[:5], ds.labels[:5], out=out, workers=workers)
+        assert got[1][-1] is out
+        assert got[0] == loss
+        for a, b in zip(got[1] + got[2], gws + gbs):
+            assert a.tobytes() == b.tobytes()
 
 
 def reference_adam_step(param, grad, mom, vel, lr, corr1, corr2):
