@@ -27,13 +27,6 @@ from .pool import element_bounds, run_blocks
 from .surrogate import flatten_operators, input_size, output_size
 
 DATASET_FORMAT_VERSION = 1
-#: label work (n_vol^3 per label, its element LU) below which a block of labels
-#: stays on the calling thread: 32 desk labels (128 x 128). On a 2-core Xeon
-#: with BLAS pinned, splitting desk labels over two threads, against one, gave
-#: perfbench thick 1,580 -> 1,832 labels/s (4 of 4 alternating pairs) and learn
-#: 1,800 -> 1,793 labels/s (3 of 5 pairs won), with peak RSS within 0.1 MB in
-#: both; five paper-scale labels (1372 x 1372) took 555 -> 300 ms.
-_SPLIT_LABEL_WORK = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -111,14 +104,13 @@ def dataset_fingerprint(inputs: np.ndarray, labels: np.ndarray) -> str:
 
 
 def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
-                     n_samp: int, seed: int = 0, train_fraction: float = 0.8,
-                     workers: int | None = None) -> Dataset:
+                     n_samp: int, seed: int = 0, train_fraction: float = 0.8) -> Dataset:
     """Sample coefficients and label them with the exact local pipeline (h = 2).
 
     Deterministic under a fixed seed; the split is 80/20 by sample index.
-    The samples are labelled in contiguous blocks on `workers` threads
-    (None: `pool.default_workers()`) when their work reaches
-    `_SPLIT_LABEL_WORK` per block. A failed local solve is recorded and the
+    The samples are labelled in contiguous blocks on the element worker pool
+    (`pool.default_workers()` threads) when each block's LU work reaches
+    `pool.MIN_BLOCK_WORK`. A failed local solve is recorded and the
     sample redrawn from a fresh stream (a probability-zero event kept for
     robustness); the redraws run on the calling thread in sample order.
     """
@@ -147,9 +139,8 @@ def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
     def label_block(lo, hi):
         return [i for i in range(lo, hi) if not label(i, i)]
 
-    bounds = element_bounds(n_samp, (n_in * disc.n_a) ** 3, workers,
-                            min_work=_SPLIT_LABEL_WORK)
-    failed = [i for block in run_blocks(label_block, bounds, workers) for i in block]
+    bounds = element_bounds(n_samp, (n_in * disc.n_a) ** 3, None)
+    failed = [i for block in run_blocks(label_block, bounds, None) for i in block]
     resamples = len(failed)
     fresh = n_samp  # next stream index for redraws
     for i in failed:

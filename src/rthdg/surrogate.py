@@ -148,7 +148,7 @@ def forward(model: MlpModel, x: np.ndarray, workers: int | None = None) -> np.nd
     return out[0] if single else out
 
 
-def _forward_cached(model, x, workers):
+def _forward_cached(model, x):
     acts = [x]  # post-activation values per layer, acts[0] is the input
     pre = []
     h = x
@@ -158,33 +158,32 @@ def _forward_cached(model, x, workers):
         pre.append(z)
         h = elu(z)
         acts.append(h)
-    z = _output_layer(h, model.weights[-1], model.biases[-1], workers)
+    z = _output_layer(h, model.weights[-1], model.biases[-1], None)
     pre.append(z)
     acts.append(z)
     return acts, pre
 
 
-def mae_loss(model: MlpModel, x: np.ndarray, y: np.ndarray, workers: int | None = None) -> float:
+def mae_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     """Mean absolute error of the outputs, formed in place on the forward output."""
-    resid = forward(model, x, workers=workers)
+    resid = forward(model, x)
     resid -= y
     np.abs(resid, out=resid)
     return float(np.mean(resid))
 
 
-def mae_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, out=None,
-                  workers: int | None = None):
+def mae_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, out=None):
     """Analytic MAE gradients; subgradient 0 at exact zeros of the residual.
 
     Returns (loss, weight grads, bias grads). The output layer's weight
     gradient is written into `out` when given (an array of that weight's
     shape, which the caller reuses across steps), else into a new array;
     both output-layer products run in the forward pass's column blocks on
-    `workers` threads (None: `pool.default_workers()`).
+    the element worker pool.
     """
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
-    acts, pre = _forward_cached(model, x, workers)
+    acts, pre = _forward_cached(model, x)
     resid = acts[-1] - y
     loss = float(np.mean(np.abs(resid)))
     delta = np.sign(resid) / resid.size
@@ -195,7 +194,7 @@ def mae_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, out=None,
     def gradient_block(lo, hi):
         np.matmul(h, delta[:, lo:hi], out=gw[:, lo:hi])
 
-    run_blocks(gradient_block, _column_bounds(gw.shape[1]), workers)
+    run_blocks(gradient_block, _column_bounds(gw.shape[1]), None)
     gws = [None] * last + [gw]
     gbs = [None] * last + [delta.sum(axis=0)]
     for i in range(last, 0, -1):
@@ -270,25 +269,22 @@ def _adam_step(param, grad, mom, vel, lr, corr1, corr2, scratch):
             p -= t1
 
 
-def _adam_update(param, grad, mom, vel, lr, corr1, corr2, scratches, workers):
-    """`_adam_step` on contiguous row blocks on `workers` threads, with
+def _adam_update(param, grad, mom, vel, lr, corr1, corr2, scratches):
+    """`_adam_step` on contiguous row blocks on the element worker pool, with
     `scratches[k]` the scratch pair of block k (one pair per worker).
 
     A parameter below `pool.MIN_BLOCK_WORK` elements stays one block on the
     calling thread. The update is elementwise, so every split gives the same bits.
     """
     n_rows = param.shape[0] if param.ndim == 2 else 1
-    bounds = element_bounds(n_rows, param.size // n_rows, workers)
-    if len(bounds) == 2:  # one block: skip the per-call set-up of the split
-        _adam_step(param, grad, mom, vel, lr, corr1, corr2, scratches[0])
-        return
+    bounds = element_bounds(n_rows, param.size // n_rows, None)
     arrays = [np.atleast_2d(a) for a in (param, grad, mom, vel)]
 
     def update_block(lo, hi):
         _adam_step(*(a[lo:hi] for a in arrays), lr, corr1, corr2,
                    scratches[bounds.index(lo)])
 
-    run_blocks(update_block, bounds, workers)
+    run_blocks(update_block, bounds, None)
 
 
 def _check_state(model, state):
@@ -315,16 +311,15 @@ def check_training(schedule, batch_size: int) -> None:
 
 
 def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int = 50,
-          seed: int = 0, state: TrainState | None = None, log_every: int = 0,
-          workers: int | None = None) -> TrainState:
+          seed: int = 0, state: TrainState | None = None, log_every: int = 0) -> TrainState:
     """Adam/MAE training over the dataset's train split, tracking test MAE.
 
     The recorded train MAE is the average of the minibatch losses seen
     during the epoch; the test MAE is a full evaluation of the held-out
     split at epoch end; each history entry also holds the epoch's wall time
     in seconds. The output-layer products and the Adam update of parameters
-    above `pool.MIN_BLOCK_WORK` elements run in blocks on `workers` threads
-    (None: `pool.default_workers()`); every worker count gives the same bits.
+    above `pool.MIN_BLOCK_WORK` elements run in blocks on the element worker
+    pool (`pool.default_workers()` threads); every worker count gives the same bits.
     Raises ArithmeticError if the loss goes non-finite, and ValueError for
     `batch_size < 1`, for a fresh schedule of no epochs and for a resumed
     `state` that does not fit the model's layers.
@@ -349,8 +344,8 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
     model.meta.pop("fingerprint", None)
     rng = np.random.default_rng(seed)
     n_train = xs.shape[0]
-    workers = default_workers() if workers is None else workers
-    scratches = [(np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)) for _ in range(workers)]
+    scratches = [(np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
+                 for _ in range(default_workers())]
     grad_out = np.empty(model.weights[-1].shape)
     while state.epoch < total_epochs:
         t0 = time.perf_counter()
@@ -359,8 +354,7 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
         batch_losses = []
         for lo in range(0, n_train, batch_size):
             idx = perm[lo:lo + batch_size]
-            loss, gws, gbs = mae_gradients(model, xs[idx], ys[idx], out=grad_out,
-                                           workers=workers)
+            loss, gws, gbs = mae_gradients(model, xs[idx], ys[idx], out=grad_out)
             batch_losses.append(loss)
             state.step += 1
             t = state.step
@@ -368,11 +362,11 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
             corr2 = 1.0 - ADAM_BETA2 ** t
             for i in range(model.n_layers):
                 _adam_update(model.weights[i], gws[i], state.m_w[i], state.v_w[i],
-                             lr, corr1, corr2, scratches, workers)
+                             lr, corr1, corr2, scratches)
                 _adam_update(model.biases[i], gbs[i], state.m_b[i], state.v_b[i],
-                             lr, corr1, corr2, scratches, workers)
+                             lr, corr1, corr2, scratches)
         train_mae = float(np.mean(batch_losses))
-        test_mae = mae_loss(model, xt, yt, workers=workers) if xt.shape[0] else float("nan")
+        test_mae = mae_loss(model, xt, yt) if xt.shape[0] else float("nan")
         if not np.isfinite(train_mae):
             raise ArithmeticError(
                 f"non-finite training loss at epoch {state.epoch} (lr={lr}); "

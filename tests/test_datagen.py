@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from rthdg import datagen
+from rthdg import datagen, pool
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
 from rthdg.basis import modal_nodal_transform
 from rthdg.datagen import (DiscretizationConfig, SamplerConfig,
@@ -117,11 +117,12 @@ def test_generate_dataset_bytes_independent_of_workers(monkeypatch):
         return solve_element(*args, element_index=element_index, **kwargs)
 
     monkeypatch.setattr(datagen, "solve_element", failing_solve)
-    monkeypatch.setattr(datagen, "_SPLIT_LABEL_WORK", 1)  # desk labels split too
     runs = []
     for workers in (1, 2, 4):
+        monkeypatch.setattr(pool, "default_workers", lambda: workers)
+        assert len(pool.element_bounds(20, 128 ** 3, None)) == workers + 1
         fails.update({"sample 3": 1, "sample 11": 2})
-        runs.append(generate_dataset(DESK_SAMPLER, DESK_DISC, 20, seed=4, workers=workers))
+        runs.append(generate_dataset(DESK_SAMPLER, DESK_DISC, 20, seed=4))
     first = runs[0]
     assert first.meta["resamples"] == 3
     for i, stream in ((3, 20), (11, 22), (12, 12)):

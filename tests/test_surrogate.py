@@ -171,17 +171,23 @@ def random_dataset(n_samp=12, seed=3):
                            test_idx=np.arange(n_samp - 3, n_samp))
 
 
-def trained_bytes(workers):
+def set_workers(monkeypatch, workers):
+    """Make `pool.default_workers()` report `workers`, also where it is imported."""
+    monkeypatch.setattr(pool, "default_workers", lambda: workers)
+    monkeypatch.setattr(surrogate, "default_workers", lambda: workers)
+
+
+def trained_bytes():
     model = init_mlp(3, 3, 8, n_layers=3, seed=1)
-    state = train(model, random_dataset(), schedule=((3, 1e-3),), batch_size=4, seed=2,
-                  workers=workers)
+    state = train(model, random_dataset(), schedule=((3, 1e-3),), batch_size=4, seed=2)
     arrays = model.weights + model.biases + state.m_w + state.v_w + state.m_b + state.v_b
     losses = [(h["train_mae"], h["test_mae"]) for h in state.history]
     return [a.tobytes() for a in arrays], losses
 
 
 def test_train_bitwise_equal_across_workers(monkeypatch):
-    want = trained_bytes(workers=1)
+    set_workers(monkeypatch, 1)
+    want = trained_bytes()
     # a desk model takes the pooled path: the output layer's products in
     # 80 column blocks, its weight update in row blocks
     monkeypatch.setattr(surrogate, "_FORWARD_BLOCK", 64)
@@ -192,20 +198,22 @@ def test_train_bitwise_equal_across_workers(monkeypatch):
                         lambda kernel, bounds, workers: blocks.append(len(bounds) - 1)
                         or run_blocks(kernel, bounds, workers))
     for workers in (1, 2, 4):
+        set_workers(monkeypatch, workers)
         blocks.clear()
-        assert trained_bytes(workers) == want
+        assert trained_bytes() == want
         assert max(blocks) == 80
         # the output-layer weight update: 32 rows in one block per worker
         assert workers == 1 or workers in blocks
 
 
-def test_mae_gradients_into_reused_buffer_equal_fresh_ones():
+def test_mae_gradients_into_reused_buffer_equal_fresh_ones(monkeypatch):
     model = init_mlp(3, 3, 8, n_layers=3, seed=5)
     ds = random_dataset()
     loss, gws, gbs = mae_gradients(model, ds.inputs[:5], ds.labels[:5])
     out = np.full(model.weights[-1].shape, np.nan)
     for workers in (1, 2):
-        got = mae_gradients(model, ds.inputs[:5], ds.labels[:5], out=out, workers=workers)
+        set_workers(monkeypatch, workers)
+        got = mae_gradients(model, ds.inputs[:5], ds.labels[:5], out=out)
         assert got[1][-1] is out
         assert got[0] == loss
         for a, b in zip(got[1] + got[2], gws + gbs):
