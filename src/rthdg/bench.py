@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dg as dg_mod
+from . import pool
 from .angular import build_angular_grid, scattering_kernel_matrix
 from .cases import CaseConfig, build_beam_bc, sigma_nodal_fields
 from .datagen import DiscretizationConfig, SamplerConfig, generate_dataset, save_dataset
@@ -24,7 +25,6 @@ from .hybrid import (ElementNodalField, assemble_hybrid, project_boundary,
                      recover_mean_intensity, relative_l2_error, solve_hybrid)
 from .local import ElementOperators, solve_element
 from .mesh import build_mesh, refinement_schedule, skeleton_numbering
-from .pool import default_workers, run_blocks, split
 from .surrogate import (DEFAULT_SCHEDULE, DESK_SCHEDULE, MlpModel, check_training, init_mlp,
                         model_fingerprint, predict_local_ops_batch, save_model, train)
 
@@ -95,18 +95,16 @@ def build_problem(cfg: CaseConfig, level: int | None = None) -> Problem:
                    index=index, sigma_fields=sigma_fields, g=g)
 
 
-def exact_local_ops(problem: Problem, workers: int | None = None, f=None) -> ElementOperators:
+def exact_local_ops(problem: Problem, f=None) -> ElementOperators:
     """Exact local-solver creation for every element.
 
-    The elements are split into `workers` contiguous blocks, each solved on
-    a thread of the element pool (the dense kernels release the interpreter
-    lock) into one preallocated ElementOperators; workers=None takes
-    `default_workers()`.
+    The elements are split into contiguous blocks, each solved on a thread
+    of the element worker pool (the dense kernels release the interpreter
+    lock) into one preallocated ElementOperators.
     """
     mesh, grid, kernel = problem.mesh, problem.grid, problem.kernel
     h = (mesh.hx, mesh.hy)
     tm = problem.index.tracemap
-    workers = default_workers() if workers is None else workers
     ops = ElementOperators.empty(mesh.n_elems, tm.n_out, tm.n_in, (problem.cfg.p + 1) ** 2)
 
     def solve_block(lo, hi):
@@ -114,13 +112,14 @@ def exact_local_ops(problem: Problem, workers: int | None = None, f=None) -> Ele
             ops[e] = solve_element(problem.sigma_fields[e], grid, kernel, h,
                                    f=None if f is None else f[e], element_index=e)
 
-    run_blocks(solve_block, split(mesh.n_elems, workers), workers)
+    # one element's LU, n_vol^3 = 2^21 at desk scale, exceeds pool.MIN_BLOCK_WORK
+    n_vol = problem.volume_dofs // mesh.n_elems
+    pool.run_blocks(solve_block, pool.element_bounds(mesh.n_elems, n_vol ** 3))
     return ops
 
 
-def surrogate_local_ops(problem: Problem, model: MlpModel,
-                        workers: int | None = None) -> ElementOperators:
-    """Surrogate local-operator creation (one batched forward pass on `workers` threads)."""
+def surrogate_local_ops(problem: Problem, model: MlpModel) -> ElementOperators:
+    """Surrogate local-operator creation (one batched forward pass on the element worker pool)."""
     mesh = problem.mesh
     if abs(mesh.hx - mesh.hy) > 1e-12 * max(mesh.hx, mesh.hy):
         raise ValueError("the surrogate serves square elements only "
@@ -129,26 +128,33 @@ def surrogate_local_ops(problem: Problem, model: MlpModel,
         raise ModelMismatch(
             f"model (p={model.p_x}, N_a={model.n_a}) does not match the problem "
             f"(p={problem.cfg.p}, N_a={problem.grid.n_elems})")
-    return predict_local_ops_batch(model, problem.sigma_fields, mesh.hx, workers=workers)
+    return predict_local_ops_batch(model, problem.sigma_fields, mesh.hx)
+
+
+def check_methods(methods, model: MlpModel | None) -> None:
+    """Raise ValueError for a method not in METHODS, or hdg-el without a model."""
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if "hdg-el" in methods and model is None:
+        raise ValueError("method hdg-el needs a trained model (--model)")
 
 
 def run_case(cfg: CaseConfig, method: str, level: int | None = None,
              model: MlpModel | None = None, tol: float | None = None,
-             workers: int | None = None, reference: ElementNodalField | None = None):
+             reference: ElementNodalField | None = None):
     """Run one method on one refinement level; returns (RunReport, mean field).
 
-    workers=None takes `default_workers()`. They split hdg's local solves,
-    hdg-el's forward pass, the skeleton apply and recovery of both, and the
-    inversion of DG's sweep blocks; every count gives the same bits.
+    The element worker pool (`pool.default_workers()` threads, meta["workers"])
+    splits hdg's local solves, hdg-el's forward pass, the skeleton apply and
+    recovery of both, and DG's sweep-block inversion; every count gives the same bits.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_methods([method], model)
     problem = build_problem(cfg, level)
-    workers = default_workers() if workers is None else workers
     tol = cfg.tol if tol is None else tol
     report = RunReport(method=method, level=problem.level,
                        dofs=problem.volume_dofs, hybrid_dofs=problem.index.n_dofs,
-                       meta={"case": cfg.case, "tol": tol, "workers": workers,
+                       meta={"case": cfg.case, "tol": tol, "workers": pool.default_workers(),
                              "partition": [problem.mesh.nx, problem.mesh.ny],
                              "sigma_scale": cfg.sigma_scale, "seed": cfg.seed,
                              "config_hash": config_hash(cfg)})
@@ -165,7 +171,7 @@ def run_case(cfg: CaseConfig, method: str, level: int | None = None,
         t0 = time.perf_counter()
         system = dg_mod.assemble_dg(problem.mesh, problem.grid, problem.kernel,
                                     problem.sigma_fields, cfg.p, g=problem.g)
-        u, info = dg_mod.solve_dg(system, tol=tol, workers=workers)
+        u, info = dg_mod.solve_dg(system, tol=tol)
         report.t_global = time.perf_counter() - t0
         report.gmres_iters = info.iterations
         t0 = time.perf_counter()
@@ -174,23 +180,21 @@ def run_case(cfg: CaseConfig, method: str, level: int | None = None,
     else:
         t0 = time.perf_counter()
         if method == "hdg":
-            ops = exact_local_ops(problem, workers=workers)
+            ops = exact_local_ops(problem)
         else:
-            if model is None:
-                raise ValueError("method hdg-el needs a trained model (--model)")
-            ops = surrogate_local_ops(problem, model, workers=workers)
+            ops = surrogate_local_ops(problem, model)
             # the surrogate does not predict the forcing response; all
             # benchmark cases run with f = 0, so none is needed
             report.meta["forcing"] = "zero"
         report.t_local = time.perf_counter() - t0
         t0 = time.perf_counter()
-        system = assemble_hybrid(problem.index, ops, workers=workers)
+        system = assemble_hybrid(problem.index, ops)
         bc = project_boundary(problem.g, problem.index)
         uhat, info = solve_hybrid(system, bc, tol=tol)
         report.t_global = time.perf_counter() - t0
         report.gmres_iters = info.iterations
         t0 = time.perf_counter()
-        fld = recover_mean_intensity(uhat, ops, problem.index, workers=workers)
+        fld = recover_mean_intensity(uhat, ops, problem.index)
         report.t_recover = time.perf_counter() - t0
 
     if reference is not None:
@@ -230,9 +234,9 @@ def load_reference(path):
 
 
 def sweep(cfg: CaseConfig, methods, levels, out_dir, model: MlpModel | None = None,
-          workers: int | None = None, reference: ElementNodalField | None = None,
-          l_ref: int | None = None):
-    """Refinement sweep over methods; writes the report table and panel CSVs."""
+          reference: ElementNodalField | None = None, l_ref: int | None = None):
+    """Refinement sweep over methods (checked first); writes the report table and panel CSVs."""
+    check_methods(methods, model)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if reference is None:
@@ -241,8 +245,7 @@ def sweep(cfg: CaseConfig, methods, levels, out_dir, model: MlpModel | None = No
     reports = []
     for method in methods:
         for level in levels:
-            rep, _ = run_case(cfg, method, level=level, model=model,
-                              workers=workers, reference=reference)
+            rep, _ = run_case(cfg, method, level=level, model=model, reference=reference)
             reports.append(rep)
     write_sweep_tables(reports, out_dir)
     return reports

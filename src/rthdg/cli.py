@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import bench
+from . import bench, pool
 from .cases import CaseConfig, default_config, load_case_config
 from .datagen import DiscretizationConfig, SamplerConfig, generate_dataset, save_dataset
 from .errors import FormatError, ModelMismatch, SolverFailure
@@ -22,10 +22,11 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_MODEL = 4
 
-WORKERS_HELP = ("threads for the element kernels (hdg's local solves, hdg-el's forward "
-                "pass, the skeleton apply, DG's sweep set-up); 'auto' (default) is the usable "
-                "cores divided by the BLAS thread count that OPENBLAS_NUM_THREADS, "
-                "OMP_NUM_THREADS or MKL_NUM_THREADS sets, and 1 when none is set")
+WORKERS_HELP = ("threads for the element kernels (hdg's local solves, hdg-el's forward pass, "
+                "the skeleton apply, DG's sweep set-up) of the whole command, and the DG "
+                "reference; 'auto' (default) is the usable cores divided by the BLAS thread "
+                "count that OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS sets, "
+                "and 1 when none is set")
 
 
 def _case_config(args) -> CaseConfig:
@@ -81,23 +82,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_arg(args):
-    if not getattr(args, "model", None):
-        return None
-    return load_model(args.model)
-
-
 def cmd_run(args) -> int:
     cfg = _case_config(args)
-    model = _load_model_arg(args)
+    model = load_model(args.model) if args.model else None
     reference = None
     if args.reference:
         reference, _ = bench.load_reference(args.reference)
     elif args.ref_level is not None:
         reference, _ = bench.compute_reference(cfg, l_ref=args.ref_level)
     report, fld = bench.run_case(cfg, args.method, level=args.level, model=model,
-                                 tol=args.tol, workers=args.workers,
-                                 reference=reference)
+                                 tol=args.tol, reference=reference)
     print(json.dumps({**report.row(), "hybrid_dofs": report.hybrid_dofs,
                       "t_recover": report.t_recover, "meta": report.meta}, indent=2))
     if args.out:
@@ -112,15 +106,14 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _case_config(args)
-    model = _load_model_arg(args)
+    model = load_model(args.model) if args.model else None
     methods = args.methods.split(",")
     levels = [int(tok) for tok in args.levels.split(",")]
     reference = None
     if args.reference:
         reference, _ = bench.load_reference(args.reference)
     reports = bench.sweep(cfg, methods, levels, args.out, model=model,
-                          workers=args.workers, reference=reference,
-                          l_ref=args.ref_level)
+                          reference=reference, l_ref=args.ref_level)
     for rep in reports:
         print(json.dumps(rep.row()))
     print(f"tables written to {args.out}")
@@ -222,6 +215,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pool.fixed_workers = getattr(args, "workers", None)
     try:
         return _DISPATCH[args.command](args)
     except ModelMismatch as exc:
@@ -233,6 +227,8 @@ def main(argv=None) -> int:
     except (FormatError, ValueError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        pool.fixed_workers = None
 
 
 if __name__ == "__main__":

@@ -139,8 +139,8 @@ def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
     def label_block(lo, hi):
         return [i for i in range(lo, hi) if not label(i, i)]
 
-    bounds = element_bounds(n_samp, (n_in * disc.n_a) ** 3, None)
-    failed = [i for block in run_blocks(label_block, bounds, None) for i in block]
+    bounds = element_bounds(n_samp, (n_in * disc.n_a) ** 3)
+    failed = [i for block in run_blocks(label_block, bounds) for i in block]
     resamples = len(failed)
     fresh = n_samp  # next stream index for redraws
     for i in failed:

@@ -64,10 +64,10 @@ class DgSystem:
     def n_dofs(self) -> int:
         return self.b.size
 
-    def preconditioner(self, workers: int | None = None) -> "UpwindSweep":
-        """The sweep that applies P^-1 (cached; its set-up runs on `workers` threads)."""
+    def preconditioner(self) -> "UpwindSweep":
+        """The sweep that applies P^-1 (cached)."""
         if self._precond is None:
-            self._precond = UpwindSweep(self, workers=workers)
+            self._precond = UpwindSweep(self)
         return self._precond
 
 
@@ -78,7 +78,7 @@ class UpwindSweep:
     angle) blocks as a block-diagonal matrix in sweep order.
     """
 
-    def __init__(self, system: DgSystem, workers: int | None = None):
+    def __init__(self, system: DgSystem):
         mesh, na = system.mesh, system.grid.n_elems
         n_sp = (system.p + 1) ** 2
         # wavefront step of block id e * N_a + a, from angle a's inflow corner
@@ -87,7 +87,7 @@ class UpwindSweep:
         bounds = np.searchsorted(step[order], np.arange(mesh.nx + mesh.ny))
         elem, ang = np.divmod(order, na)
 
-        inv = _invert_blocks(sweep_blocks(system, order), elem, ang, workers)
+        inv = _invert_blocks(sweep_blocks(system, order), elem, ang)
         self.L = system.coupling
         self.U = scipy.sparse.bsr_matrix(
             (inv, np.arange(order.size), np.arange(order.size + 1)),
@@ -128,11 +128,10 @@ def sweep_blocks(system: DgSystem, ids: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _invert_blocks(blocks: np.ndarray, elem: np.ndarray, ang: np.ndarray,
-                   workers: int | None = None) -> np.ndarray:
+def _invert_blocks(blocks: np.ndarray, elem: np.ndarray, ang: np.ndarray) -> np.ndarray:
     """Inverses of a stack of sweep blocks; SolverFailure names a singular one.
 
-    A large stack is inverted in contiguous slices on `workers` threads;
+    A large stack is inverted in contiguous slices on the element worker pool;
     each block is its own LAPACK solve, so every split gives the same bits.
     """
     def invert(lo, hi):
@@ -143,9 +142,8 @@ def _invert_blocks(blocks: np.ndarray, elem: np.ndarray, ang: np.ndarray,
         return inv, (np.abs(blocks[lo:hi]).sum(axis=1).max(axis=1)
                      * np.abs(inv).sum(axis=1).max(axis=1))
 
-    n_sp = blocks.shape[1]
-    bounds = element_bounds(len(blocks), n_sp ** 3, workers, min_work=_SPLIT_INVERT_WORK)
-    parts = run_blocks(invert, bounds, workers)
+    bounds = element_bounds(len(blocks), blocks.shape[1] ** 3, min_work=_SPLIT_INVERT_WORK)
+    parts = run_blocks(invert, bounds)
     if any(part is None for part in parts):
         bad = [int(np.argmin(np.abs(np.linalg.det(blocks))))]
     else:
@@ -241,21 +239,19 @@ def _row_pointer(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
 
 
-def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART,
-             workers: int | None = None):
+def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART):
     """Left-preconditioned GMRES on the monolithic system (see `restarted_gmres`).
 
     DgSolveInfo.residuals holds ||P^-1 (b - A u)|| / ||b||, the
     left-preconditioned residual, not the true ||b - A u|| / ||b|| that tol
     bounds; a converged solve's last entry can stay above tol (1.2e-2 on
-    perfbench `learn` at tol 1e-4, with a true residual of 8.6e-5). The
-    sweep's set-up runs on `workers` threads (None: `pool.default_workers()`).
+    perfbench `learn` at tol 1e-4, with a true residual of 8.6e-5).
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not np.any(system.b):
         return np.zeros(system.n_dofs), DgSolveInfo(iterations=0)
-    sweep = system.preconditioner(workers=workers)
+    sweep = system.preconditioner()
     # dtype given, so that scipy does not probe it with one sweep of a zero vector
     mop = scipy.sparse.linalg.LinearOperator(
         (system.n_dofs, system.n_dofs), matvec=sweep.solve, dtype=float)

@@ -65,19 +65,19 @@ def project_boundary(g, index: SkeletonIndex) -> SkeletonState:
     return SkeletonState(values=values, dirichlet_mask=index.dirichlet_mask.copy())
 
 
-def _element_matvec(a: np.ndarray, x: np.ndarray, workers: int | None) -> np.ndarray:
+def _element_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a[e] @ x[e] for every element e, shape (n_elems, rows).
 
-    Contiguous element blocks run on `workers` threads (None:
-    `pool.default_workers()`) once the product is large enough; each
-    element's product is its own BLAS call, so every split gives the same bits.
+    Contiguous element blocks run on the element worker pool once the
+    product is large enough; each element's product is its own BLAS call,
+    so every split gives the same bits.
     """
     y = np.empty(a.shape[:2])
 
     def block(lo, hi):
         np.matmul(a[lo:hi], x[lo:hi, :, None], out=y[lo:hi, :, None])
 
-    run_blocks(block, element_bounds(a.shape[0], a.shape[1] * a.shape[2], workers), workers)
+    run_blocks(block, element_bounds(a.shape[0], a.shape[1] * a.shape[2]))
     return y
 
 
@@ -88,14 +88,13 @@ class HybridSystem:
     sequence of LocalOperators, stacked once here.
     """
 
-    def __init__(self, index: SkeletonIndex, ops, workers: int | None = None):
+    def __init__(self, index: SkeletonIndex, ops):
         mesh = index.mesh
         ops = ElementOperators.of(ops)
         if len(ops) != mesh.n_elems:
             raise ValueError(f"need one LocalOperators per element "
                              f"({mesh.n_elems}), got {len(ops)}")
         self.index = index
-        self.workers = workers
         self.a_i2o = ops.a_i2o
         self.fhat = ops.fhat_u
         self.in_idx = index.elem_inflow
@@ -115,7 +114,7 @@ class HybridSystem:
         u = np.zeros(self.index.n_dofs)
         u[~self.index.dirichlet_mask] = v_free
         r = v_free.copy()
-        y = _element_matvec(self.a_i2o, u[self.in_idx], self.workers)
+        y = _element_matvec(self.a_i2o, u[self.in_idx])
         r[self.out_free.reshape(-1)] -= y.reshape(-1)
         return r
 
@@ -124,7 +123,7 @@ class HybridSystem:
         ug = np.zeros(self.index.n_dofs)
         fixed = self.index.dirichlet_mask
         ug[fixed] = bc.values[fixed]
-        y = _element_matvec(self.a_i2o, ug[self.in_idx], self.workers)
+        y = _element_matvec(self.a_i2o, ug[self.in_idx])
         y += self.fhat
         b = np.zeros(self.n_free)
         b[self.out_free.reshape(-1)] = y.reshape(-1)
@@ -213,8 +212,8 @@ def _quadrant_blocks(a: np.ndarray, rows: np.ndarray, cols: np.ndarray, p: int) 
         strides=(a.strides[0], *strides_r, *strides_c), writeable=False)
 
 
-def assemble_hybrid(index: SkeletonIndex, ops, workers: int | None = None) -> HybridSystem:
-    return HybridSystem(index, ops, workers=workers)
+def assemble_hybrid(index: SkeletonIndex, ops) -> HybridSystem:
+    return HybridSystem(index, ops)
 
 
 def restarted_gmres(matrix, b: np.ndarray, tol: float, restart: int, label: str, M=None):
@@ -381,11 +380,10 @@ def recover_solution(uhat: SkeletonState, index: SkeletonIndex, sigma_fields, ke
                      for e in range(mesh.n_elems)])
 
 
-def recover_mean_intensity(uhat: SkeletonState, ops, index: SkeletonIndex,
-                           workers: int | None = None) -> ElementNodalField:
+def recover_mean_intensity(uhat: SkeletonState, ops, index: SkeletonIndex) -> ElementNodalField:
     """Mean intensity m = A_i2m uhat_in + f_mean per element (ops as for HybridSystem)."""
     ops = ElementOperators.of(ops)
-    vals = _element_matvec(ops.a_i2m, uhat.values[index.elem_inflow], workers)
+    vals = _element_matvec(ops.a_i2m, uhat.values[index.elem_inflow])
     vals += ops.f_mean
     p = index.p
     return ElementNodalField(mesh=index.mesh, p=p,

@@ -15,14 +15,19 @@ from concurrent.futures import ThreadPoolExecutor, wait
 #: environment variables that set the BLAS thread pool, in the order OpenBLAS reads them
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+#: the element worker count of the process, set by `cli.main`; None: the rule below
+fixed_workers: int | None = None
+
 
 def default_workers() -> int:
-    """Element workers that never oversubscribe: usable cores / BLAS threads.
+    """Element workers: `fixed_workers` when set, else usable cores / BLAS threads.
 
     The BLAS thread count comes from the first of BLAS_THREAD_VARS that is
     set. When none is set (or it does not parse), BLAS owns every core and
     the default is 1 worker.
     """
+    if fixed_workers is not None:
+        return fixed_workers
     for var in BLAS_THREAD_VARS:
         value = os.environ.get(var, "").strip()
         if value:
@@ -50,44 +55,42 @@ _pools: dict[int, ThreadPoolExecutor] = {}
 _pools_lock = threading.Lock()
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
+def _pool(count: int) -> ThreadPoolExecutor:
     with _pools_lock:
-        pool = _pools.get(workers)
+        pool = _pools.get(count)
         if pool is None:
-            pool = _pools[workers] = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"rthdg-{workers}")
+            pool = _pools[count] = ThreadPoolExecutor(
+                max_workers=count, thread_name_prefix=f"rthdg-{count}")
         return pool
 
 
-def split(n: int, parts: int) -> list:
+def _split(n: int, parts: int) -> list:
     """Bounds of `parts` contiguous blocks of range(n), sizes differing by at most one."""
     parts = max(1, min(parts, n))
     size, extra = divmod(n, parts)
     return [k * size + min(k, extra) for k in range(parts + 1)]
 
 
-def element_bounds(n: int, work_per_element: int, workers: int | None,
-                   min_work: int | None = None) -> list:
-    """Split n elements into at most `workers` blocks of at least `min_work`
-    (None: MIN_BLOCK_WORK) each."""
-    workers = default_workers() if workers is None else workers
+def element_bounds(n: int, work_per_element: int, min_work: int | None = None) -> list:
+    """Split n elements into at most `default_workers()` blocks of at least
+    `min_work` (None: MIN_BLOCK_WORK) each."""
     min_work = MIN_BLOCK_WORK if min_work is None else min_work
-    return split(n, min(workers, n * work_per_element // min_work))
+    return _split(n, min(default_workers(), n * work_per_element // min_work))
 
 
-def run_blocks(kernel, bounds, workers: int | None) -> list:
+def run_blocks(kernel, bounds) -> list:
     """kernel(lo, hi) for each pair of consecutive bounds; results in block order.
 
-    With more than one worker (None: `default_workers()`) and more than one
-    block, the blocks run on the persistent pool of `workers` threads, else
-    on the calling thread. Every block finishes before the first exception,
-    in block order, is raised. A kernel must not call run_blocks itself: its
+    With more than one worker (`default_workers()`) and more than one block,
+    the blocks run on the persistent pool of that many threads, else on the
+    calling thread. Every block finishes before the first exception, in
+    block order, is raised. A kernel must not call run_blocks itself: its
     block would wait on a pool that it occupies.
     """
-    workers = default_workers() if workers is None else workers
+    count = default_workers()
     blocks = list(zip(bounds[:-1], bounds[1:]))
-    if workers <= 1 or len(blocks) <= 1:
+    if count <= 1 or len(blocks) <= 1:
         return [kernel(lo, hi) for lo, hi in blocks]
-    futures = [_pool(workers).submit(kernel, lo, hi) for lo, hi in blocks]
+    futures = [_pool(count).submit(kernel, lo, hi) for lo, hi in blocks]
     wait(futures)
     return [f.result() for f in futures]

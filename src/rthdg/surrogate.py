@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pool
 from .errors import FormatError, ModelMismatch
 from .local import ElementOperators, LocalOperators, SigmaField
-from .pool import default_workers, element_bounds, run_blocks
 
 MAGIC = b"RTHDGMLP"
 FORMAT_VERSION = 1
@@ -110,8 +110,8 @@ def elu_grad(z):
     return np.where(z >= 0, 1.0, np.exp(np.minimum(z, 0.0)))
 
 
-def _output_layer(h, w, b, workers):
-    """h @ w + b, in column blocks of `_FORWARD_BLOCK` on `workers` threads.
+def _output_layer(h, w, b):
+    """h @ w + b, in column blocks of `_FORWARD_BLOCK` on the element worker pool.
 
     Each block adds its bias in place, so no second output-sized array is made.
     """
@@ -121,7 +121,7 @@ def _output_layer(h, w, b, workers):
         np.matmul(h, w[:, lo:hi], out=out[:, lo:hi])
         out[:, lo:hi] += b[lo:hi]
 
-    run_blocks(output_block, _column_bounds(w.shape[1]), workers)
+    pool.run_blocks(output_block, _column_bounds(w.shape[1]))
     return out
 
 
@@ -129,11 +129,11 @@ def _column_bounds(n_cols):
     return [*range(0, n_cols, _FORWARD_BLOCK), n_cols]
 
 
-def forward(model: MlpModel, x: np.ndarray, workers: int | None = None) -> np.ndarray:
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Forward propagation; x is one input vector or a (batch, N_in) array.
 
     The output layer is computed in column blocks of `_FORWARD_BLOCK`,
-    spread over `workers` threads (None: `pool.default_workers()`).
+    spread over the element worker pool.
     """
     x = np.asarray(x, float)
     single = x.ndim == 1
@@ -144,7 +144,7 @@ def forward(model: MlpModel, x: np.ndarray, workers: int | None = None) -> np.nd
         h = h @ w
         h += b
         h = elu(h)
-    out = _output_layer(h, model.weights[-1], model.biases[-1], workers)
+    out = _output_layer(h, model.weights[-1], model.biases[-1])
     return out[0] if single else out
 
 
@@ -158,7 +158,7 @@ def _forward_cached(model, x):
         pre.append(z)
         h = elu(z)
         acts.append(h)
-    z = _output_layer(h, model.weights[-1], model.biases[-1], None)
+    z = _output_layer(h, model.weights[-1], model.biases[-1])
     pre.append(z)
     acts.append(z)
     return acts, pre
@@ -184,9 +184,11 @@ def mae_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, out=None):
     x = np.atleast_2d(np.asarray(x, float))
     y = np.atleast_2d(np.asarray(y, float))
     acts, pre = _forward_cached(model, x)
-    resid = acts[-1] - y
-    loss = float(np.mean(np.abs(resid)))
-    delta = np.sign(resid) / resid.size
+    # in place on the forward output: pre[-1] aliases it, and the backward pass reads neither
+    resid = np.subtract(acts[-1], y, out=acts[-1])
+    delta = np.sign(resid)
+    delta /= resid.size
+    loss = float(np.mean(np.abs(resid, out=resid)))
     last = model.n_layers - 1
     gw = np.empty(model.weights[last].shape) if out is None else out
     h = acts[last].T
@@ -194,7 +196,7 @@ def mae_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, out=None):
     def gradient_block(lo, hi):
         np.matmul(h, delta[:, lo:hi], out=gw[:, lo:hi])
 
-    run_blocks(gradient_block, _column_bounds(gw.shape[1]), None)
+    pool.run_blocks(gradient_block, _column_bounds(gw.shape[1]))
     gws = [None] * last + [gw]
     gbs = [None] * last + [delta.sum(axis=0)]
     for i in range(last, 0, -1):
@@ -277,14 +279,14 @@ def _adam_update(param, grad, mom, vel, lr, corr1, corr2, scratches):
     calling thread. The update is elementwise, so every split gives the same bits.
     """
     n_rows = param.shape[0] if param.ndim == 2 else 1
-    bounds = element_bounds(n_rows, param.size // n_rows, None)
+    bounds = pool.element_bounds(n_rows, param.size // n_rows)
     arrays = [np.atleast_2d(a) for a in (param, grad, mom, vel)]
 
     def update_block(lo, hi):
         _adam_step(*(a[lo:hi] for a in arrays), lr, corr1, corr2,
                    scratches[bounds.index(lo)])
 
-    run_blocks(update_block, bounds, None)
+    pool.run_blocks(update_block, bounds)
 
 
 def _check_state(model, state):
@@ -345,7 +347,7 @@ def train(model: MlpModel, dataset, schedule=DEFAULT_SCHEDULE, batch_size: int =
     rng = np.random.default_rng(seed)
     n_train = xs.shape[0]
     scratches = [(np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
-                 for _ in range(default_workers())]
+                 for _ in range(pool.default_workers())]
     grad_out = np.empty(model.weights[-1].shape)
     while state.epoch < total_epochs:
         t0 = time.perf_counter()
@@ -417,12 +419,10 @@ def predict_local_ops(model: MlpModel, sigma: SigmaField, h: float) -> LocalOper
     return unflatten_operators(y, model.p_x, model.p_y, model.n_a)
 
 
-def predict_local_ops_batch(model: MlpModel, sigmas, h: float,
-                            workers: int | None = None) -> ElementOperators:
+def predict_local_ops_batch(model: MlpModel, sigmas, h: float) -> ElementOperators:
     """Batched prediction for a list of elements: one forward pass, read in place."""
     x = np.stack([surrogate_input(s, h) for s in sigmas])
-    return unflatten_operators(forward(model, x, workers=workers),
-                               model.p_x, model.p_y, model.n_a)
+    return unflatten_operators(forward(model, x), model.p_x, model.p_y, model.n_a)
 
 
 def model_fingerprint(model: MlpModel) -> str:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from rthdg import pool
 from rthdg.datagen import (DiscretizationConfig, SamplerConfig,
                            generate_dataset, load_dataset, save_dataset)
 from rthdg.surrogate import init_mlp, load_model, save_model, train
@@ -34,6 +35,12 @@ _CACHE_DIR = Path(__file__).parent / "_cache"
 
 def _cache_enabled():
     return os.environ.get("RTHDG_TEST_CACHE", "0") == "1"
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """set_workers(n): the element worker count `pool.default_workers()` gives for one test."""
+    return lambda n: monkeypatch.setattr(pool, "fixed_workers", n)
 
 
 @pytest.fixture(scope="session")

@@ -237,7 +237,7 @@ def test_criterion_7_hdg_el_accuracy(accuracy_model, fixture_times):
                 f"training {train_time:.0f}s")
 
 
-def test_criterion_8_local_phase_speedup():
+def test_criterion_8_local_phase_speedup(set_workers):
     # p=6, N_a=28, 24 elements: surrogate local-operator creation must be
     # at least 5x faster than exact local solves (same machine, 1 worker).
     # End-to-end speed-ups are hardware-dependent: reported, not gated.
@@ -245,9 +245,10 @@ def test_criterion_8_local_phase_speedup():
     cfg = default_config("idealized-1")  # p=6, N_a=28
     prob = bench.build_problem(cfg, 0)
     assert prob.mesh.n_elems == 24
-    bench.exact_local_ops(prob, workers=1)  # warm LAPACK/caches
+    set_workers(1)  # both local phases
+    bench.exact_local_ops(prob)  # warm LAPACK/caches
     t_ex = time.perf_counter()
-    bench.exact_local_ops(prob, workers=1)
+    bench.exact_local_ops(prob)
     t_exact = time.perf_counter() - t_ex
     model = init_mlp(6, 6, 28, n_layers=4, seed=0)  # timing needs dims only
     bench.surrogate_local_ops(prob, model)  # warm

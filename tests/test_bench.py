@@ -101,10 +101,11 @@ def anchored_model(problem, seed=0):
     return model
 
 
-def test_element_operators_iterate_as_the_list_path():
+def test_element_operators_iterate_as_the_list_path(set_workers):
     prob = bench.build_problem(DESK, 0)
     h = (prob.mesh.hx, prob.mesh.hy)
-    exact = bench.exact_local_ops(prob, workers=2)
+    set_workers(2)
+    exact = bench.exact_local_ops(prob)
     exact_list = [solve_element(s, prob.grid, prob.kernel, h, element_index=e)
                   for e, s in enumerate(prob.sigma_fields)]
     model = init_mlp(2, 2, 8, seed=1)
@@ -144,15 +145,17 @@ def test_hdg_el_solve_makes_no_copy_of_the_operator_stack():
 
 
 @pytest.mark.parametrize("method", ["dg", "hdg", "hdg-el"])
-def test_fields_bitwise_independent_of_workers(monkeypatch, method):
+def test_fields_bitwise_independent_of_workers(monkeypatch, set_workers, method):
     # every kernel split into blocks: one element per matvec block, 64
     # output columns per forward block, DG's inversion in slices
     monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1)
     monkeypatch.setattr(dg, "_SPLIT_INVERT_WORK", 1)
     monkeypatch.setattr(surrogate, "_FORWARD_BLOCK", 64)
     model = anchored_model(bench.build_problem(DESK, 1)) if method == "hdg-el" else None
-    fields = [bench.run_case(DESK, method, level=1, model=model, workers=w)[1].values.tobytes()
-              for w in (1, 2, 4)]
+    fields = []
+    for workers in (1, 2, 4):
+        set_workers(workers)
+        fields.append(bench.run_case(DESK, method, level=1, model=model)[1].values.tobytes())
     assert fields[0] == fields[1] == fields[2]
 
 
@@ -205,22 +208,24 @@ def test_fingerprint_digest_is_the_tobytes_digest():
     assert model_fingerprint(model) == digest.hexdigest()
 
 
-def test_workers_give_same_operators():
+def test_workers_give_same_operators(set_workers):
     prob = bench.build_problem(DESK, 0)
-    seq = bench.exact_local_ops(prob, workers=1)
+    set_workers(1)
+    seq = bench.exact_local_ops(prob)
     rng = np.random.default_rng(0)
     f = [rng.uniform(0, 1, (3, 3)) for _ in range(prob.mesh.n_elems)]
-    seq_f = bench.exact_local_ops(prob, workers=1, f=f)
+    seq_f = bench.exact_local_ops(prob, f=f)
     for workers in (2, 4):
-        par = bench.exact_local_ops(prob, workers=workers)
-        par_f = bench.exact_local_ops(prob, workers=workers, f=f)
+        set_workers(workers)
+        par = bench.exact_local_ops(prob)
+        par_f = bench.exact_local_ops(prob, f=f)
         assert len(par) == len(par_f) == prob.mesh.n_elems
         for a, b in zip([*seq, *seq_f], [*par, *par_f]):
             for name in ("a_i2o", "a_i2m", "fhat_u", "f_mean"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
-def test_cold_kernel_caches_under_threads(monkeypatch):
+def test_cold_kernel_caches_under_threads(monkeypatch, set_workers):
     # more workers than cores race to fill the per-(p, grid) and per-size
     # caches; every element still gets the serial operators and each cache
     # ends with one entry
@@ -228,12 +233,14 @@ def test_cold_kernel_caches_under_threads(monkeypatch):
 
     from rthdg import local
     prob = bench.build_problem(DESK, 0)
-    want = bench.exact_local_ops(prob, workers=1)
+    set_workers(1)
+    want = bench.exact_local_ops(prob)
     monkeypatch.setattr(local, "_kernel_cache", {})
+    set_workers(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = bench.exact_local_ops(prob, workers=8)
+        got = bench.exact_local_ops(prob)
     finally:
         sys.setswitchinterval(interval)
     assert [o.a_i2o.tobytes() for o in got] == [o.a_i2o.tobytes() for o in want]
@@ -258,29 +265,76 @@ def test_default_workers_rule(monkeypatch, env, cores, expected):
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
-    assert bench.default_workers() == expected
+    assert pool.default_workers() == expected
 
 
-def test_explicit_workers_win(monkeypatch):
+def pin_blas_on_two_cores(monkeypatch):
+    """The environment rule then gives 2 workers."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    seen = []
-    real = bench.exact_local_ops
 
-    def spy(problem, workers=None, f=None):
-        seen.append(workers)
-        return real(problem, workers=workers, f=f)
 
-    monkeypatch.setattr(bench, "exact_local_ops", spy)
-    rep, _ = bench.run_case(DESK, "hdg", level=0, workers=3)
-    assert seen == [3] and rep.meta["workers"] == 3
-    rep, _ = bench.run_case(DESK, "hdg", level=0)
-    assert seen == [3, 2] and rep.meta["workers"] == 2
+def test_explicit_workers_win(monkeypatch, tmp_path, capsys):
+    # --workers 3 sets the count for the whole command, the local phase's
+    # element split included; auto (2 here) is back once the command returns
+    pin_blas_on_two_cores(monkeypatch)
+    parts = []
+    split = pool._split
+    monkeypatch.setattr(pool, "_split", lambda n, k: parts.append(k) or split(n, k))
+    cfg = tmp_path / "case.json"
+    write_desk_config(cfg)
+    argv = ["run", "--config", str(cfg), "--method", "hdg", "--level", "0"]
+    for extra, count in ((["--workers", "3"], 3), ([], 2)):
+        parts.clear()
+        assert cli.main(argv + extra) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["workers"] == count
+        assert max(parts) == count  # 24 elements: one block per worker
+        assert pool.fixed_workers is None and pool.default_workers() == 2
     assert cli.build_parser().parse_args(["run", "--method", "hdg"]).workers is None
     assert cli.build_parser().parse_args(
         ["sweep", "--out", "x", "--workers", "3"]).workers == 3
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["run", "--method", "hdg", "--workers", "0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--methods", "dg", "--levels", "0", "--ref-level", "0"],
+    ["run", "--method", "hdg", "--level", "0", "--ref-level", "0"],
+])
+def test_workers_reach_the_dg_reference(monkeypatch, tmp_path, capsys, argv):
+    # auto is 2 workers and DG's sweep blocks split at any size: with
+    # --workers 1 no kernel of the command, the reference's DG solve
+    # included, uses a pool thread
+    pin_blas_on_two_cores(monkeypatch)
+    monkeypatch.setattr(dg, "_SPLIT_INVERT_WORK", 1)
+    pools = []
+    real = pool._pool
+    monkeypatch.setattr(pool, "_pool", lambda count: pools.append(count) or real(count))
+    cfg = tmp_path / "case.json"
+    write_desk_config(cfg)
+    argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--workers", "1"]) == 0
+    assert pools == []
+    assert cli.main(argv) == 0  # the same command on auto does use the pool
+    assert pools and set(pools) == {2}
+
+
+def test_sweep_checks_methods_before_the_reference(monkeypatch, tmp_path, capsys):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference computed before the methods were checked")
+
+    monkeypatch.setattr(bench, "compute_reference", no_reference)
+    for methods in (["dg", "bogus"], ["hdg-el"]):
+        with pytest.raises(ValueError, match="unknown method|needs a trained model"):
+            bench.sweep(DESK, methods, [0], tmp_path / "out")
+    cfg = tmp_path / "case.json"
+    write_desk_config(cfg)
+    for extra, message in (([], "needs a trained model"),
+                           (["--methods", "dg,hgd"], "unknown method 'hgd'")):
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "cli")]
+                        + extra) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cli").exists()
 
 
 def test_dg_assembly_is_timed(monkeypatch):

@@ -102,7 +102,7 @@ def test_labels_match_local_solver_exactly():
         np.testing.assert_array_equal(ds.labels[i], flatten_operators(ops))
 
 
-def test_generate_dataset_bytes_independent_of_workers(monkeypatch):
+def test_generate_dataset_bytes_independent_of_workers(monkeypatch, set_workers):
     # samples 3 and 11 fail on their first draw, and 11 on its first redraw
     # too: the redraws take the fresh streams 20, 21 and 22 in sample order
     fails = {"sample 3": 1, "sample 11": 2}
@@ -119,8 +119,8 @@ def test_generate_dataset_bytes_independent_of_workers(monkeypatch):
     monkeypatch.setattr(datagen, "solve_element", failing_solve)
     runs = []
     for workers in (1, 2, 4):
-        monkeypatch.setattr(pool, "default_workers", lambda: workers)
-        assert len(pool.element_bounds(20, 128 ** 3, None)) == workers + 1
+        set_workers(workers)
+        assert len(pool.element_bounds(20, 128 ** 3)) == workers + 1
         fails.update({"sample 3": 1, "sample 11": 2})
         runs.append(generate_dataset(DESK_SAMPLER, DESK_DISC, 20, seed=4))
     first = runs[0]

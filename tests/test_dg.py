@@ -164,7 +164,7 @@ def test_singular_sweep_block_names_element_and_angle():
     assert any(f"element 1, angle {a}" in str(err.value) for a in singular)
 
 
-def test_sweep_inverses_bitwise_equal_across_workers(monkeypatch):
+def test_sweep_inverses_bitwise_equal_across_workers(monkeypatch, set_workers):
     # slices of the block stack inverted on 1, 2 and 4 threads give the bits
     # and the memory layout of one np.linalg.inv call, and the same sweep
     rng = np.random.default_rng(13)
@@ -177,19 +177,22 @@ def test_sweep_inverses_bitwise_equal_across_workers(monkeypatch):
     blocks = dgm.sweep_blocks(system, ids)
     want = np.linalg.inv(blocks)
     r = rng.standard_normal(system.n_dofs)
-    want_x = dgm.UpwindSweep(system, workers=1).solve(r)
+    set_workers(1)
+    want_x = dgm.UpwindSweep(system).solve(r)
     monkeypatch.setattr(dgm, "_SPLIT_INVERT_WORK", 1)
     for workers in (1, 2, 4):
-        got = dgm._invert_blocks(blocks, *np.divmod(ids, na), workers=workers)
+        set_workers(workers)
+        got = dgm._invert_blocks(blocks, *np.divmod(ids, na))
         assert got.strides == want.strides and got.tobytes() == want.tobytes()
-        assert dgm.UpwindSweep(system, workers=workers).solve(r).tobytes() == want_x.tobytes()
+        assert dgm.UpwindSweep(system).solve(r).tobytes() == want_x.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["zero pivot", "ill-conditioned"])
-def test_singular_block_named_from_any_slice(monkeypatch, kind):
+def test_singular_block_named_from_any_slice(monkeypatch, set_workers, kind):
     # on four threads the failing block sits in the last slice; the error
     # still names its element and angle
     monkeypatch.setattr(dgm, "_SPLIT_INVERT_WORK", 1)
+    set_workers(4)
     rng = np.random.default_rng(2)
     na = 4
     blocks = np.eye(4) + 0.1 * rng.standard_normal((20, 4, 4))
@@ -198,7 +201,7 @@ def test_singular_block_named_from_any_slice(monkeypatch, kind):
     else:
         blocks[17, :, 0] *= 1e-16
     with pytest.raises(SolverFailure, match="element 4, angle 1"):
-        dgm._invert_blocks(blocks, *np.divmod(np.arange(20), na), workers=4)
+        dgm._invert_blocks(blocks, *np.divmod(np.arange(20), na))
 
 
 @settings(max_examples=25, deadline=None)

@@ -154,7 +154,7 @@ def test_skeleton_apply_matches_element_loop():
     close(recover_mean_intensity(uhat, ops, index).values.reshape(mesh.n_elems, -1), want)
 
 
-def test_skeleton_apply_bitwise_equal_across_workers(monkeypatch):
+def test_skeleton_apply_bitwise_equal_across_workers(monkeypatch, set_workers):
     # with forcing and random Dirichlet data: the skeleton apply, right-hand
     # side and recovery split over element blocks give the bits of one
     # batched product, from the container and from a list of operators
@@ -176,9 +176,10 @@ def test_skeleton_apply_bitwise_equal_across_workers(monkeypatch):
                          dirichlet_mask=index.dirichlet_mask.copy())
 
     def outputs(ops, workers):
-        system = assemble_hybrid(index, ops, workers=workers)
+        set_workers(workers)
+        system = assemble_hybrid(index, ops)
         return [system.linear_action(v).tobytes(), system.rhs(bc).tobytes(),
-                recover_mean_intensity(uhat, ops, index, workers=workers).values.tobytes(),
+                recover_mean_intensity(uhat, ops, index).values.tobytes(),
                 system.preconditioner().blocks.tobytes(),
                 solve_hybrid(system, bc, tol=1e-10)[0].values.tobytes()]
 

@@ -8,7 +8,7 @@ from rthdg import pool, surrogate
 from rthdg.errors import FormatError, ModelMismatch
 from rthdg.local import SigmaField
 from rthdg.surrogate import (_ADAM_CHUNK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                             TrainState, _adam_step, elu, flatten_operators,
+                             TrainState, _adam_step, elu, elu_grad, flatten_operators,
                              forward, init_mlp, input_size, load_model,
                              mae_gradients, mae_loss, model_fingerprint,
                              output_size, predict_local_ops, save_model,
@@ -171,12 +171,6 @@ def random_dataset(n_samp=12, seed=3):
                            test_idx=np.arange(n_samp - 3, n_samp))
 
 
-def set_workers(monkeypatch, workers):
-    """Make `pool.default_workers()` report `workers`, also where it is imported."""
-    monkeypatch.setattr(pool, "default_workers", lambda: workers)
-    monkeypatch.setattr(surrogate, "default_workers", lambda: workers)
-
-
 def trained_bytes():
     model = init_mlp(3, 3, 8, n_layers=3, seed=1)
     state = train(model, random_dataset(), schedule=((3, 1e-3),), batch_size=4, seed=2)
@@ -185,20 +179,20 @@ def trained_bytes():
     return [a.tobytes() for a in arrays], losses
 
 
-def test_train_bitwise_equal_across_workers(monkeypatch):
-    set_workers(monkeypatch, 1)
+def test_train_bitwise_equal_across_workers(monkeypatch, set_workers):
+    set_workers(1)
     want = trained_bytes()
     # a desk model takes the pooled path: the output layer's products in
     # 80 column blocks, its weight update in row blocks
     monkeypatch.setattr(surrogate, "_FORWARD_BLOCK", 64)
     monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1024)
     blocks = []
-    run_blocks = surrogate.run_blocks
-    monkeypatch.setattr(surrogate, "run_blocks",
-                        lambda kernel, bounds, workers: blocks.append(len(bounds) - 1)
-                        or run_blocks(kernel, bounds, workers))
+    run_blocks = pool.run_blocks
+    monkeypatch.setattr(pool, "run_blocks",
+                        lambda kernel, bounds: blocks.append(len(bounds) - 1)
+                        or run_blocks(kernel, bounds))
     for workers in (1, 2, 4):
-        set_workers(monkeypatch, workers)
+        set_workers(workers)
         blocks.clear()
         assert trained_bytes() == want
         assert max(blocks) == 80
@@ -206,13 +200,13 @@ def test_train_bitwise_equal_across_workers(monkeypatch):
         assert workers == 1 or workers in blocks
 
 
-def test_mae_gradients_into_reused_buffer_equal_fresh_ones(monkeypatch):
+def test_mae_gradients_into_reused_buffer_equal_fresh_ones(set_workers):
     model = init_mlp(3, 3, 8, n_layers=3, seed=5)
     ds = random_dataset()
     loss, gws, gbs = mae_gradients(model, ds.inputs[:5], ds.labels[:5])
     out = np.full(model.weights[-1].shape, np.nan)
     for workers in (1, 2):
-        set_workers(monkeypatch, workers)
+        set_workers(workers)
         got = mae_gradients(model, ds.inputs[:5], ds.labels[:5], out=out)
         assert got[1][-1] is out
         assert got[0] == loss
@@ -459,7 +453,8 @@ def _forward_one_block(model, x):
 
 
 @pytest.mark.parametrize("block", [surrogate._FORWARD_BLOCK, 64, 192])
-def test_forward_bitwise_equal_across_workers_and_to_one_block(monkeypatch, block):
+def test_forward_bitwise_equal_across_workers_and_to_one_block(monkeypatch, set_workers,
+                                                               block):
     # 17,400 output columns: more than one block, and not a multiple of 64
     model = init_mlp(4, 4, 12, n_layers=3, seed=2)
     assert model.dims[-1] > block and model.dims[-1] % block != 0
@@ -468,11 +463,33 @@ def test_forward_bitwise_equal_across_workers_and_to_one_block(monkeypatch, bloc
     for inputs in (x, x[:1], x[0]):
         want = _forward_one_block(model, inputs)
         for workers in (1, 2, 4):
-            got = forward(model, inputs, workers=workers)
+            set_workers(workers)
+            got = forward(model, inputs)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def three_array_gradients(model, x, y):
+    """mae_gradients with the residual, its absolute value and sign, and delta
+    as fresh arrays, the output layer's column blocks on the calling thread."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    acts, pre = surrogate._forward_cached(model, x)
+    resid = acts[-1] - y
+    loss = float(np.mean(np.abs(resid)))
+    delta = np.sign(resid) / resid.size
+    gw = np.empty(model.weights[-1].shape)
+    bounds = surrogate._column_bounds(gw.shape[1])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(acts[-2].T, delta[:, lo:hi], out=gw[:, lo:hi])
+    gws, gbs = [gw], [delta.sum(axis=0)]
+    for i in range(model.n_layers - 1, 0, -1):
+        delta = (delta @ model.weights[i].T) * elu_grad(pre[i - 1])
+        gws.insert(0, acts[i - 1].T @ delta)
+        gbs.insert(0, delta.sum(axis=0))
+    return loss, gws, gbs
+
+
 def test_mae_loss_bitwise_equals_the_three_array_expression():
+    # 10,752 output columns: two column blocks of the output layer
     model = init_mlp(3, 3, 12, n_layers=2, seed=5)
     rng = np.random.default_rng(6)
     x = rng.uniform(0, 5, (6, model.dims[0]))
@@ -480,6 +497,10 @@ def test_mae_loss_bitwise_equals_the_three_array_expression():
     for xs, ys in ((x, y), (x[0], y[0])):
         want = float(np.mean(np.abs(forward(model, xs) - ys)))
         assert mae_loss(model, xs, ys).hex() == want.hex()
+        loss, gws, gbs = mae_gradients(model, xs, ys)
+        want_loss, want_gws, want_gbs = three_array_gradients(model, xs, ys)
+        assert loss.hex() == want_loss.hex() == want.hex()
+        assert [a.tobytes() for a in gws + gbs] == [a.tobytes() for a in want_gws + want_gbs]
     out_bytes = y.nbytes
     tracemalloc.start()
     try:
