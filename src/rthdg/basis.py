@@ -114,14 +114,6 @@ def lagrange_basis_at(q: Quadrature1D, x) -> np.ndarray:
     return out
 
 
-def lagrange_eval(q: Quadrature1D, i: int, x) -> float | np.ndarray:
-    """phi_i(x) for the i-th (1-based) Lagrange polynomial on the LGL nodes."""
-    if not 1 <= i <= q.degree + 1:
-        raise ValueError(f"Lagrange index {i} outside 1..{q.degree + 1}")
-    vals = lagrange_basis_at(q, x)[:, i - 1]
-    return vals[0] if np.isscalar(x) else vals
-
-
 def differentiation_matrix(q: Quadrature1D) -> np.ndarray:
     """D with D[k, i] = phi'_i(node_k), via barycentric weights.
 

@@ -20,13 +20,13 @@ from . import pool
 from .angular import build_angular_grid, scattering_kernel_matrix
 from .cases import CaseConfig, build_beam_bc, sigma_nodal_fields
 from .datagen import DiscretizationConfig, SamplerConfig, generate_dataset, save_dataset
-from .errors import ModelMismatch
 from .hybrid import (ElementNodalField, assemble_hybrid, project_boundary,
                      recover_mean_intensity, relative_l2_error, solve_hybrid)
 from .local import ElementOperators, solve_element
 from .mesh import build_mesh, refinement_schedule, skeleton_numbering
 from .surrogate import (DEFAULT_SCHEDULE, DESK_SCHEDULE, MlpModel, check_training, init_mlp,
-                        model_fingerprint, predict_local_ops_batch, save_model, train)
+                        model_fingerprint, output_size, predict_local_ops_batch, save_model,
+                        train, unflatten_operators)
 
 METHODS = ("dg", "hdg", "hdg-el")
 
@@ -98,14 +98,15 @@ def build_problem(cfg: CaseConfig, level: int | None = None) -> Problem:
 def exact_local_ops(problem: Problem, f=None) -> ElementOperators:
     """Exact local-solver creation for every element.
 
-    The elements are split into contiguous blocks, each solved on a thread
-    of the element worker pool (the dense kernels release the interpreter
-    lock) into one preallocated ElementOperators.
+    The operators are written in the training-label layout, one row per
+    element of one (n_elems, output_size) array (`unflatten_operators`). The
+    elements are split into contiguous blocks, each solved on a thread of
+    the element worker pool (the dense kernels release the interpreter lock).
     """
     mesh, grid, kernel = problem.mesh, problem.grid, problem.kernel
     h = (mesh.hx, mesh.hy)
-    tm = problem.index.tracemap
-    ops = ElementOperators.empty(mesh.n_elems, tm.n_out, tm.n_in, (problem.cfg.p + 1) ** 2)
+    p, n_a = problem.cfg.p, grid.n_elems
+    ops = unflatten_operators(np.empty((mesh.n_elems, output_size(p, p, n_a))), p, p, n_a)
 
     def solve_block(lo, hi):
         for e in range(lo, hi):
@@ -124,11 +125,7 @@ def surrogate_local_ops(problem: Problem, model: MlpModel) -> ElementOperators:
     if abs(mesh.hx - mesh.hy) > 1e-12 * max(mesh.hx, mesh.hy):
         raise ValueError("the surrogate serves square elements only "
                          f"(hx={mesh.hx}, hy={mesh.hy})")
-    if model.n_a != problem.grid.n_elems or model.p_x != problem.cfg.p:
-        raise ModelMismatch(
-            f"model (p={model.p_x}, N_a={model.n_a}) does not match the problem "
-            f"(p={problem.cfg.p}, N_a={problem.grid.n_elems})")
-    return predict_local_ops_batch(model, problem.sigma_fields, mesh.hx)
+    return predict_local_ops_batch(model, problem.sigma_fields, mesh.hx, problem.grid.n_elems)
 
 
 def check_methods(methods, model: MlpModel | None) -> None:
@@ -291,6 +288,12 @@ class TrainConfig:
     schedule: tuple = DESK_SCHEDULE
     seed: int = 0
 
+    def label_configs(self) -> tuple[SamplerConfig, DiscretizationConfig]:
+        """The sampler and the discretization of this configuration's labels."""
+        return (SamplerConfig(p_x=self.p, p_y=self.p, c_sm=self.c_sm, a_sigma=self.a_sigma),
+                DiscretizationConfig(p=self.p, n_a=self.n_a, omega=self.omega,
+                                     g_asym=self.g_asym))
+
 
 FULL_SCALE_TRAIN = TrainConfig(p=6, n_a=28, n_samp=1000, schedule=DEFAULT_SCHEDULE)
 
@@ -304,11 +307,7 @@ def train_pipeline(tcfg: TrainConfig, out_dir, dataset=None, log_every: int = 0)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if dataset is None:
-        sampler = SamplerConfig(p_x=tcfg.p, p_y=tcfg.p, c_sm=tcfg.c_sm,
-                                a_sigma=tcfg.a_sigma)
-        disc = DiscretizationConfig(p=tcfg.p, n_a=tcfg.n_a, omega=tcfg.omega,
-                                    g_asym=tcfg.g_asym)
-        dataset = generate_dataset(sampler, disc, tcfg.n_samp, seed=tcfg.seed)
+        dataset = generate_dataset(*tcfg.label_configs(), tcfg.n_samp, seed=tcfg.seed)
         save_dataset(dataset, out_dir / "dataset.npz")
     model = init_mlp(tcfg.p, tcfg.p, tcfg.n_a, n_layers=tcfg.n_layers, seed=tcfg.seed)
     model.meta.update({"schedule": [list(s) for s in tcfg.schedule],

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .angular import AngularGrid
-from .basis import lgl_quadrature
 from .errors import FormatError
 from .local import SigmaField
-from .mesh import Mesh
+from .mesh import Mesh, element_node_coords
 
 #: default two-scatterer geometry (calibration values, adjustable per config)
 DEFAULT_CENTERS = ((1.2, 1.0), (1.8, 1.0))
@@ -67,12 +66,11 @@ class CaseConfig:
     seed: int = 0
 
 
-def idealized_sigma(case, x, y, cloud: CloudParams | None = None,
-                    extents=(3.0, 2.0)):
+def idealized_sigma(x, y, cloud: CloudParams, extents=(3.0, 2.0)):
     """Scattering coefficient of the idealized two-scatterer cases.
 
-    case selects the edge width (1: smoother, 2: sharper); x, y may be
-    arrays. Points outside [0, Lx] x [0, Ly] raise.
+    The cloud's width sets the edge (WIDTH_CASE1: smoother, WIDTH_CASE2:
+    sharper); x, y may be arrays. Points outside [0, Lx] x [0, Ly] raise.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -80,12 +78,6 @@ def idealized_sigma(case, x, y, cloud: CloudParams | None = None,
     tol = 1e-12 * max(lx, ly)  # element-corner coordinates round past the edge
     if np.any(x < -tol) or np.any(x > lx + tol) or np.any(y < -tol) or np.any(y > ly + tol):
         raise ValueError(f"point outside the domain [0, {lx}] x [0, {ly}]")
-    if cloud is None:
-        width = {1: WIDTH_CASE1, "1": WIDTH_CASE1, "idealized-1": WIDTH_CASE1,
-                 2: WIDTH_CASE2, "2": WIDTH_CASE2, "idealized-2": WIDTH_CASE2}.get(case)
-        if width is None:
-            raise ValueError(f"unknown idealized case {case!r}")
-        cloud = CloudParams(width=width)
     total = np.zeros(np.broadcast(x, y).shape)
     for cx, cy in cloud.centers:
         r = np.hypot(x - cx, y - cy)
@@ -138,23 +130,19 @@ def ingest_cloud_raster(path, extents) -> CloudRaster:
 
 def sigma_nodal_fields(cfg: CaseConfig, mesh: Mesh, p: int) -> list:
     """Per-element nodal SigmaFields of a configured case."""
-    q = lgl_quadrature(p)
     raster = None
     if cfg.case == "i3rc" or cfg.raster_path is not None:
         if cfg.raster_path is None:
             raise ValueError("the realistic cloud case needs a raster path")
         raster = ingest_cloud_raster(cfg.raster_path, (mesh.lx, mesh.ly))
     # node coordinates of every element at once, shape (n_elems, p+1, p+1)
-    iy, ix = np.divmod(np.arange(mesh.n_elems), mesh.nx)
-    xs = (ix * mesh.hx)[:, None] + 0.5 * mesh.hx * (q.nodes + 1.0)
-    ys = (iy * mesh.hy)[:, None] + 0.5 * mesh.hy * (q.nodes + 1.0)
+    xs, ys = element_node_coords(mesh, p)
     gx = np.broadcast_to(xs[:, :, None], (mesh.n_elems, p + 1, p + 1))
     gy = np.broadcast_to(ys[:, None, :], (mesh.n_elems, p + 1, p + 1))
     if raster is not None:
         ss = cfg.sigma_scale * raster.interp(gx, gy)
     else:
-        case = 2 if cfg.case.endswith("2") else 1
-        ss = idealized_sigma(case, gx, gy, cloud=cfg.cloud, extents=(mesh.lx, mesh.ly))
+        ss = idealized_sigma(gx, gy, cfg.cloud, extents=(mesh.lx, mesh.ly))
     return [SigmaField.from_scattering(s, cfg.omega) for s in ss]
 
 

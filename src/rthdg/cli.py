@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import bench, pool
 from .cases import CaseConfig, default_config, load_case_config
-from .datagen import DiscretizationConfig, SamplerConfig, generate_dataset, save_dataset
+from .datagen import generate_dataset, load_dataset, save_dataset
 from .errors import FormatError, ModelMismatch, SolverFailure
 from .surrogate import load_model
 
@@ -55,9 +55,7 @@ def _train_config(args) -> bench.TrainConfig:
 
 def cmd_gen_data(args) -> int:
     tcfg = _train_config(args)
-    sampler = SamplerConfig(p_x=tcfg.p, p_y=tcfg.p, c_sm=tcfg.c_sm, a_sigma=tcfg.a_sigma)
-    disc = DiscretizationConfig(p=tcfg.p, n_a=tcfg.n_a, omega=tcfg.omega, g_asym=tcfg.g_asym)
-    ds = generate_dataset(sampler, disc, tcfg.n_samp, seed=tcfg.seed)
+    ds = generate_dataset(*tcfg.label_configs(), tcfg.n_samp, seed=tcfg.seed)
     save_dataset(ds, args.out)
     print(f"wrote {ds.inputs.shape[0]} samples ({ds.train_idx.size} train / "
           f"{ds.test_idx.size} test) to {args.out}")
@@ -68,10 +66,7 @@ def cmd_train(args) -> int:
     tcfg = _train_config(args)
     dataset = None
     if args.dataset:
-        from .datagen import load_dataset
-        dataset = load_dataset(args.dataset,
-                               expect=DiscretizationConfig(
-                                   p=tcfg.p, n_a=tcfg.n_a, omega=tcfg.omega, g_asym=tcfg.g_asym))
+        dataset = load_dataset(args.dataset, expect=tcfg.label_configs()[1])
     model_path, csv_path, state = bench.train_pipeline(
         tcfg, args.out, dataset=dataset, log_every=args.log_every)
     last = state.history[-1]
@@ -92,15 +87,14 @@ def cmd_run(args) -> int:
         reference, _ = bench.compute_reference(cfg, l_ref=args.ref_level)
     report, fld = bench.run_case(cfg, args.method, level=args.level, model=model,
                                  tol=args.tol, reference=reference)
-    print(json.dumps({**report.row(), "hybrid_dofs": report.hybrid_dofs,
-                      "t_recover": report.t_recover, "meta": report.meta}, indent=2))
+    record = json.dumps({**report.row(), "hybrid_dofs": report.hybrid_dofs,
+                         "t_recover": report.t_recover, "meta": report.meta}, indent=2)
+    print(record)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         bench.save_reference(fld, report.meta, out / f"{args.method}_l{report.level}_mean.npz")
-        with open(out / f"{args.method}_l{report.level}_report.json", "w") as fh:
-            json.dump({**report.row(), "hybrid_dofs": report.hybrid_dofs,
-                       "t_recover": report.t_recover, "meta": report.meta}, fh, indent=2)
+        (out / f"{args.method}_l{report.level}_report.json").write_text(record)
     return EXIT_OK
 
 

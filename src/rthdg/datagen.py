@@ -4,7 +4,8 @@ Coefficient fields are drawn in the Legendre modal basis with a low-frequency
 bias exp(-c_sm ((m/p_x)^2 + (n/p_y)^2)) on mode (m, n), transformed to nodal
 values, shifted to min 0, normalized to max 1, and amplified by a uniform
 draw on [0, A_sigma]. Labels are the flattened (in2out, in2mean) operator
-pair computed by the exact local solver on the reference element.
+pair computed by the exact local solver on the reference element, written
+in place through the label-layout container (`unflatten_operators`).
 
 Randomness uses the counter-based Philox generator keyed by
 (seed, stream index). Sample i is first drawn from stream i, so the samples
@@ -24,7 +25,7 @@ from .basis import modal_nodal_transform
 from .errors import FormatError, SolverFailure
 from .local import SigmaField, solve_element
 from .pool import element_bounds, run_blocks
-from .surrogate import flatten_operators, input_size, output_size
+from .surrogate import input_size, output_size, unflatten_operators
 
 DATASET_FORMAT_VERSION = 1
 
@@ -123,17 +124,17 @@ def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
     n_in = input_size(disc.p, disc.p)
     inputs = np.empty((n_samp, n_in))
     labels = np.empty((n_samp, output_size(disc.p, disc.p, disc.n_a)))
+    ops = unflatten_operators(labels, disc.p, disc.p, disc.n_a)
 
     def label(i, stream):
         """Fill row i from `stream`; False if the field or its solve fails."""
         try:
             sigma_s = sample_sigma(sampler, sample_rng(seed, stream))
-            ops = solve_element(SigmaField.from_scattering(sigma_s, disc.omega),
-                                grid, kernel, h=2.0, element_index=f"sample {i}")
+            ops[i] = solve_element(SigmaField.from_scattering(sigma_s, disc.omega),
+                                   grid, kernel, h=2.0, element_index=f"sample {i}")
         except (_DegenerateSample, SolverFailure):
             return False
         inputs[i] = sigma_s.reshape(-1)
-        labels[i] = flatten_operators(ops)
         return True
 
     def label_block(lo, hi):

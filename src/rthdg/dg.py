@@ -5,12 +5,13 @@ inflow trace slot to the volume DOF of the upwind element that produces that
 trace (interior faces) or to the prescribed inflow radiance (boundary faces,
 moved to the right-hand side). Every term comes from the element-local and
 skeleton modules: B - C is `local`'s cached `transport_base`, with M and S
-added on one sparsity pattern shared by every element; the face coupling
-values are `local`'s inflow coupling Bhat, placed through the trace map and
-`mesh.skeleton_numbering` (a trace DOF on an interior face is an outflow
-slot of exactly one element, the upwind one); the boundary data is
-`hybrid.project_boundary`; the forcing is `local.forcing_vector`. DG and HDG therefore discretize the same
-algebraic problem and differ only in how they solve it.
+from `local.extinction_scattering` added on one sparsity pattern shared by
+every element; the face coupling values are `local`'s inflow coupling Bhat,
+placed through the trace map and `mesh.skeleton_numbering` (a trace DOF on
+an interior face is an outflow slot of exactly one element, the upwind
+one); the boundary data is `hybrid.project_boundary`; the forcing is
+`local.forcing_vector`. DG and HDG therefore discretize the same algebraic
+problem and differ only in how they solve it.
 
 The solver is left-preconditioned GMRES. The preconditioner P is A without
 the scattering between different angles: it keeps advection, extinction,
@@ -33,7 +34,7 @@ import scipy.sparse.linalg
 from .angular import AngularGrid, PhaseKernel
 from .errors import SolverFailure
 from .hybrid import GMRES_RESTART, ElementNodalField, project_boundary, restarted_gmres
-from .local import SigmaField, forcing_vector, reference_kernels
+from .local import SigmaField, extinction_scattering, forcing_vector, reference_kernels
 from .mesh import Mesh, skeleton_numbering, wavefront_steps
 from .pool import element_bounds, run_blocks
 
@@ -181,7 +182,6 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
     n_sp = (p + 1) ** 2
     n_dofs = n_el * n_vol
     h = (mesh.hx, mesh.hy)
-    vol_scale = 0.25 * mesh.hx * mesh.hy
     offsets = np.arange(n_el) * n_vol
 
     # element balances B - C + M - S: one pattern for every element, the
@@ -192,9 +192,9 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
     node, ang = np.divmod(rows, na)
     pair = np.flatnonzero(node == cols // na)
     diag = np.flatnonzero(rows == cols)  # one per row, in row order
-    se = np.stack([sig.sigma_e.reshape(n_sp) for sig in sigma_fields])
-    s_coef = vol_scale * ref.w2 * np.stack([sig.sigma_s.reshape(n_sp) for sig in sigma_fields])
-    m_diag = vol_scale * ((ref.w2 * se)[:, :, None] * grid.widths)  # (n_el, n_sp, na)
+    m_diag, s_coef = extinction_scattering(np.stack([sig.sigma_e for sig in sigma_fields]),
+                                           np.stack([sig.sigma_s for sig in sigma_fields]),
+                                           grid, h)
     vals = np.repeat(base[rows, cols][None, :], n_el, axis=0)
     vals[:, diag] += m_diag.reshape(n_el, n_vol)
     vals[:, pair] -= s_coef[:, node[pair]] * kernel.kernel[ang[pair], cols[pair] % na]

@@ -28,7 +28,7 @@ import scipy.sparse.linalg
 from .basis import lagrange_basis_at, lgl_quadrature
 from .errors import SolverFailure
 from .local import ElementOperators, element_solution
-from .mesh import Mesh, SkeletonIndex, wavefront_steps
+from .mesh import Mesh, SkeletonIndex, element_node_coords, wavefront_steps
 from .pool import element_bounds, run_blocks
 
 GMRES_RESTART = 200
@@ -82,17 +82,12 @@ def _element_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class HybridSystem:
-    """Affine skeleton operator over the elements' in2out blocks.
+    """Affine skeleton operator over the elements' in2out blocks, read in place."""
 
-    ops is an ElementOperators, whose stacks are read in place, or a
-    sequence of LocalOperators, stacked once here.
-    """
-
-    def __init__(self, index: SkeletonIndex, ops):
+    def __init__(self, index: SkeletonIndex, ops: ElementOperators):
         mesh = index.mesh
-        ops = ElementOperators.of(ops)
         if len(ops) != mesh.n_elems:
-            raise ValueError(f"need one LocalOperators per element "
+            raise ValueError(f"need the operators of every element "
                              f"({mesh.n_elems}), got {len(ops)}")
         self.index = index
         self.a_i2o = ops.a_i2o
@@ -212,7 +207,7 @@ def _quadrant_blocks(a: np.ndarray, rows: np.ndarray, cols: np.ndarray, p: int) 
         strides=(a.strides[0], *strides_r, *strides_c), writeable=False)
 
 
-def assemble_hybrid(index: SkeletonIndex, ops) -> HybridSystem:
+def assemble_hybrid(index: SkeletonIndex, ops: ElementOperators) -> HybridSystem:
     return HybridSystem(index, ops)
 
 
@@ -293,18 +288,6 @@ class ElementNodalField:
     p: int
     values: np.ndarray  # (n_elems, p+1, p+1) indexed [e, ix, iy]
 
-    def node_coords(self):
-        """Physical LGL node coordinates, shapes (n_elems, p+1) per axis."""
-        q = lgl_quadrature(self.p)
-        mesh = self.mesh
-        xs = np.empty((mesh.n_elems, self.p + 1))
-        ys = np.empty((mesh.n_elems, self.p + 1))
-        for e in range(mesh.n_elems):
-            x0, y0 = mesh.elem_origin(e)
-            xs[e] = x0 + 0.5 * mesh.hx * (q.nodes + 1.0)
-            ys[e] = y0 + 0.5 * mesh.hy * (q.nodes + 1.0)
-        return xs, ys
-
     def eval_grid(self, xs: np.ndarray, ys: np.ndarray, toward=None) -> np.ndarray:
         """Evaluate at the tensor grid xs x ys (points anywhere in the domain).
 
@@ -380,9 +363,9 @@ def recover_solution(uhat: SkeletonState, index: SkeletonIndex, sigma_fields, ke
                      for e in range(mesh.n_elems)])
 
 
-def recover_mean_intensity(uhat: SkeletonState, ops, index: SkeletonIndex) -> ElementNodalField:
-    """Mean intensity m = A_i2m uhat_in + f_mean per element (ops as for HybridSystem)."""
-    ops = ElementOperators.of(ops)
+def recover_mean_intensity(uhat: SkeletonState, ops: ElementOperators,
+                           index: SkeletonIndex) -> ElementNodalField:
+    """Mean intensity m = A_i2m uhat_in + f_mean per element."""
     vals = _element_matvec(ops.a_i2m, uhat.values[index.elem_inflow])
     vals += ops.f_mean
     p = index.p
@@ -401,7 +384,7 @@ def relative_l2_error(fld: ElementNodalField, ref: ElementNodalField) -> float:
     q = lgl_quadrature(ref.p)
     w2 = np.outer(q.weights, q.weights)
     cell = 0.25 * ref.mesh.hx * ref.mesh.hy
-    xs, ys = ref.node_coords()
+    xs, ys = element_node_coords(ref.mesh, ref.p)
     num = 0.0
     den = 0.0
     for e in range(ref.mesh.n_elems):

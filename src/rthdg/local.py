@@ -103,29 +103,18 @@ OPERATOR_FIELDS = ("a_i2o", "a_i2m", "fhat_u", "f_mean")
 class ElementOperators:
     """Every element's LocalOperators, stacked along a leading element axis.
 
+    Built by `surrogate.unflatten_operators`: a_i2o and a_i2m are views into
+    the rows of one (n_elems, output_size) array in the training-label
+    layout, whether the rows are exact solves, labels or network outputs.
     The skeleton solve and the recovery read the stacks directly; len(),
-    indexing and iteration give per-element LocalOperators views into them.
+    indexing and iteration give per-element LocalOperators views into them,
+    and ops[e] = LocalOperators(...) writes element e's row.
     """
 
     a_i2o: np.ndarray            # (n_elems, n_out, n_in)
     a_i2m: np.ndarray            # (n_elems, n_sp, n_in)
     fhat_u: np.ndarray           # (n_elems, n_out)
     f_mean: np.ndarray           # (n_elems, n_sp)
-
-    @classmethod
-    def empty(cls, n_elems: int, n_out: int, n_in: int, n_sp: int) -> "ElementOperators":
-        return cls(a_i2o=np.empty((n_elems, n_out, n_in)), a_i2m=np.empty((n_elems, n_sp, n_in)),
-                   fhat_u=np.empty((n_elems, n_out)), f_mean=np.empty((n_elems, n_sp)))
-
-    @classmethod
-    def of(cls, ops) -> "ElementOperators":
-        """ops itself when it is an ElementOperators, else its LocalOperators stacked (a copy)."""
-        if isinstance(ops, cls):
-            return ops
-        ops = list(ops)
-        if not ops:
-            raise ValueError("no element operators given")
-        return cls(*(np.stack([getattr(o, name) for o in ops]) for name in OPERATOR_FIELDS))
 
     def __len__(self) -> int:
         return self.a_i2o.shape[0]
@@ -211,6 +200,24 @@ def _degree(sigma: SigmaField) -> int:
     return p
 
 
+def extinction_scattering(sigma_e: np.ndarray, sigma_s: np.ndarray, grid: AngularGrid,
+                          h) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient terms M and S of nodal fields of shape (..., p+1, p+1).
+
+    Returns m_diag, shape (..., n_sp, N_a): the extinction mass on the
+    diagonal of the volume DOFs (node, angle); and s_coef, shape (..., n_sp):
+    the sigma_s-weighted collocation mass that scales the angular kernel in
+    each node's scattering block, S = s_coef[n] * kernel.
+    """
+    hx, hy = _element_sizes(h)
+    vol_scale = 0.25 * hx * hy
+    w2 = reference_kernels(sigma_e.shape[-1] - 1, grid).w2
+    nodal = sigma_e.shape[:-2] + (w2.size,)
+    m_diag = vol_scale * ((w2 * sigma_e.reshape(nodal))[..., None] * grid.widths)
+    s_coef = vol_scale * w2 * sigma_s.reshape(nodal)
+    return m_diag, s_coef
+
+
 def assemble_local(sigma: SigmaField, grid: AngularGrid, kernel: PhaseKernel,
                    h) -> np.ndarray:
     """The balance matrix A = B - C + M - S on an element of size h (scalar or (hx, hy)).
@@ -225,17 +232,15 @@ def assemble_local(sigma: SigmaField, grid: AngularGrid, kernel: PhaseKernel,
     ref = reference_kernels(p, grid)
     na = grid.n_elems
     n_sp = (p + 1) ** 2
-    vol_scale = 0.25 * hx * hy
+    m_diag, s_coef = extinction_scattering(sigma.sigma_e, sigma.sigma_s, grid, (hx, hy))
 
     a = np.empty((ref.n_vol, ref.n_vol), order="F")
     np.copyto(a, ref.transport_base(hx, hy))
     diag = np.einsum("ii->i", a)
-    diag += vol_scale * np.outer(ref.w2 * sigma.sigma_e.reshape(n_sp), grid.widths).reshape(-1)
-    # separable scattering: (sigma_s-weighted collocation mass) x (angular kernel),
-    # one na x na block on the diagonal of every node
+    diag += m_diag.reshape(-1)
+    # separable scattering: one na x na block on the diagonal of every node
     blocks = np.einsum("iaib->iab", a.reshape(n_sp, na, n_sp, na))
-    coef = vol_scale * ref.w2 * sigma.sigma_s.reshape(n_sp)
-    blocks -= coef[:, None, None] * kernel.kernel[None, :, :]
+    blocks -= s_coef[:, None, None] * kernel.kernel[None, :, :]
     return a
 
 

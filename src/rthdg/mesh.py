@@ -107,6 +107,15 @@ def build_mesh(lx: float, ly: float, nx: int, ny: int) -> Mesh:
                 face_plus=face_plus, face_axis=face_axis, elem_faces=elem_faces)
 
 
+def element_node_coords(mesh: Mesh, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Physical LGL node coordinates of every element: x and y, each (n_elems, p+1)."""
+    q = lgl_quadrature(p)
+    iy, ix = np.divmod(np.arange(mesh.n_elems), mesh.nx)
+    xs = (ix * mesh.hx)[:, None] + 0.5 * mesh.hx * (q.nodes + 1.0)
+    ys = (iy * mesh.hy)[:, None] + 0.5 * mesh.hy * (q.nodes + 1.0)
+    return xs, ys
+
+
 def wavefront_steps(mesh: Mesh, cos, sin) -> np.ndarray:
     """Wavefront step kx + ky of every element per direction, shape (n_elems, n_dirs).
 

@@ -394,33 +394,31 @@ def flatten_operators(ops: LocalOperators) -> np.ndarray:
     return np.concatenate([ops.a_i2o.reshape(-1), ops.a_i2m.reshape(-1)])
 
 
-def unflatten_operators(y: np.ndarray, p_x: int, p_y: int, n_a: int):
-    """Operators read from one output (n_out,) or from a stack of outputs (batch, n_out).
+def unflatten_operators(y: np.ndarray, p_x: int, p_y: int, n_a: int) -> ElementOperators:
+    """The ElementOperators of a stack of label-layout rows y, shape (n, output_size).
 
-    One output gives LocalOperators, a stack ElementOperators; the operator
-    arrays are views into y, not copies. The forcing responses are zero.
+    The a_i2o and a_i2m stacks are views into y's rows, not copies: reading
+    them reads y, and ops[e] = LocalOperators(...) writes row e. The forcing
+    responses are fresh zero arrays, writable.
     """
     n_tr = trace_count(p_x, p_y, n_a)
-    n_sp = (p_x + 1) * (p_y + 1)
-    if y.ndim not in (1, 2) or y.shape[-1] != n_tr * n_tr + n_sp * n_tr:
+    n_sp = input_size(p_x, p_y)
+    if y.ndim != 2 or y.shape[1] != output_size(p_x, p_y, n_a):
         raise ValueError(f"output shape {y.shape} does not match the operator layout")
-    lead = y.shape[:-1]
-    kind = LocalOperators if y.ndim == 1 else ElementOperators
-    return kind(a_i2o=y[..., :n_tr * n_tr].reshape(lead + (n_tr, n_tr)),
-                a_i2m=y[..., n_tr * n_tr:].reshape(lead + (n_sp, n_tr)),
-                fhat_u=np.zeros(lead + (n_tr,)), f_mean=np.zeros(lead + (n_sp,)))
+    n = y.shape[0]
+    return ElementOperators(a_i2o=y[:, :n_tr * n_tr].reshape(n, n_tr, n_tr),
+                            a_i2m=y[:, n_tr * n_tr:].reshape(n, n_sp, n_tr),
+                            fhat_u=np.zeros((n, n_tr)), f_mean=np.zeros((n, n_sp)))
 
 
-def predict_local_ops(model: MlpModel, sigma: SigmaField, h: float) -> LocalOperators:
-    """Surrogate replacement for the exact local pipeline (zero-forcing cases)."""
-    p = sigma.sigma_s.shape[0] - 1
-    model.check_discretization(p, sigma.sigma_s.shape[1] - 1, model.n_a)
-    y = forward(model, surrogate_input(sigma, h))
-    return unflatten_operators(y, model.p_x, model.p_y, model.n_a)
+def predict_local_ops_batch(model: MlpModel, sigmas, h: float, n_a: int) -> ElementOperators:
+    """Surrogate replacement for the exact local phase (zero-forcing cases).
 
-
-def predict_local_ops_batch(model: MlpModel, sigmas, h: float) -> ElementOperators:
-    """Batched prediction for a list of elements: one forward pass, read in place."""
+    One forward pass over the elements' SigmaFields, read in place. Raises
+    ModelMismatch unless the model serves their degree and n_a angles.
+    """
+    p_x, p_y = (n - 1 for n in sigmas[0].sigma_s.shape)
+    model.check_discretization(p_x, p_y, n_a)
     x = np.stack([surrogate_input(s, h) for s in sigmas])
     return unflatten_operators(forward(model, x), model.p_x, model.p_y, model.n_a)
 

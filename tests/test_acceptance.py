@@ -23,8 +23,9 @@ from rthdg.hybrid import (assemble_hybrid, boundary_fluxes, project_boundary,
                           relative_l2_error, solve_hybrid)
 from rthdg.local import SigmaField, element_solution, solve_element
 from rthdg.mesh import build_mesh, element_trace_map, skeleton_numbering
-from rthdg.surrogate import (forward, init_mlp, mae_gradients, mae_loss,
-                             predict_local_ops_batch, save_model, train)
+from rthdg.surrogate import (forward, init_mlp, mae_gradients, mae_loss, output_size,
+                             predict_local_ops_batch, save_model, train,
+                             unflatten_operators)
 
 
 def _gate(num, desc, t0, checks, budget_s, extra=""):
@@ -64,8 +65,9 @@ def test_criterion_1_oracle_equivalence():
     sigmas = [SigmaField.from_scattering(sample_sigma(sampler, sample_rng(100, e)), 1.0)
               for e in range(mesh.n_elems)]
     g = beam_g(grid, 3, na / (2 * np.pi))
-    ops = [solve_element(sigmas[e], grid, kernel, (mesh.hx, mesh.hy),
-                         element_index=e) for e in range(mesh.n_elems)]
+    ops = unflatten_operators(np.empty((mesh.n_elems, output_size(p, p, na))), p, p, na)
+    for e in range(mesh.n_elems):
+        ops[e] = solve_element(sigmas[e], grid, kernel, (mesh.hx, mesh.hy), element_index=e)
     uhat, _ = solve_hybrid(assemble_hybrid(index, ops),
                            project_boundary(g, index), tol=1e-12)
     m_hdg = recover_mean_intensity(uhat, ops, index)
@@ -101,7 +103,9 @@ def test_criterion_2_transport_exactness(capacity_models):
                  np.abs(np.delete(u4, a_star, axis=2)).max())
     checks.append((f"dg max error {err_dg:.2e} <= 1e-10", err_dg <= 1e-10))
 
-    ops = [solve_element(s, grid, kernel, mesh.hx) for s in sigmas]
+    ops = unflatten_operators(np.empty((mesh.n_elems, output_size(p, p, na))), p, p, na)
+    for e, s in enumerate(sigmas):
+        ops[e] = solve_element(s, grid, kernel, mesh.hx)
     bc = project_boundary(g, index)
     uhat, _ = solve_hybrid(assemble_hybrid(index, ops), bc, tol=1e-12)
     u_h = recover_solution(uhat, index, sigmas, kernel).reshape(mesh.n_elems, n_sp, na)
@@ -112,7 +116,7 @@ def test_criterion_2_transport_exactness(capacity_models):
     model = capacity_models[4]
     mae = model.meta["test_mae"]
     checks.append((f"model test MAE {mae:.2e} <= 1e-3", mae <= 1e-3))
-    ops_el = predict_local_ops_batch(model, sigmas, mesh.hx)
+    ops_el = predict_local_ops_batch(model, sigmas, mesh.hx, na)
     uhat_el, _ = solve_hybrid(assemble_hybrid(index, ops_el), bc, tol=1e-10)
     m_el = recover_mean_intensity(uhat_el, ops_el, index)
     err_el = np.abs(m_el.values - 1.0 / na).max()

@@ -3,8 +3,7 @@ import numpy.polynomial.legendre as npleg
 import pytest
 
 from rthdg.basis import (Quadrature1D, differentiation_matrix, lagrange_basis_at,
-                         lagrange_eval, legendre_values, lgl_quadrature,
-                         modal_nodal_transform)
+                         legendre_values, lgl_quadrature, modal_nodal_transform)
 
 
 def lobatto_oracle(p):
@@ -74,12 +73,9 @@ def test_lagrange_partition_of_unity():
 
 
 def test_lagrange_index_bounds():
+    # phi_i is 1 at node i and 0 at the other nodes, exactly
     q = lgl_quadrature(3)
-    assert lagrange_eval(q, 1, q.nodes[0]) == 1.0
-    with pytest.raises(ValueError):
-        lagrange_eval(q, 0, 0.0)
-    with pytest.raises(ValueError):
-        lagrange_eval(q, 5, 0.0)
+    assert np.array_equal(lagrange_basis_at(q, q.nodes), np.eye(4))
 
 
 def test_interpolation_exactness():

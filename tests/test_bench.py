@@ -14,7 +14,7 @@ from rthdg.hybrid import (GMRES_RESTART, assemble_hybrid, project_boundary,
                           recover_mean_intensity, solve_hybrid)
 from rthdg.local import OPERATOR_FIELDS, SigmaField, solve_element
 from rthdg.surrogate import (flatten_operators, init_mlp, load_model, model_fingerprint,
-                             save_model, surrogate_input, train, unflatten_operators)
+                             output_size, save_model, surrogate_input, train)
 
 DESK = default_config("idealized-1", p=2, n_a=8, beam_index=7, tol=1e-6,
                       cloud=CloudParams(width=0.4))
@@ -108,20 +108,40 @@ def test_element_operators_iterate_as_the_list_path(set_workers):
     exact = bench.exact_local_ops(prob)
     exact_list = [solve_element(s, prob.grid, prob.kernel, h, element_index=e)
                   for e, s in enumerate(prob.sigma_fields)]
+    assert len(exact) == len(exact_list) == prob.mesh.n_elems
+    for e, (got, ref) in enumerate(zip(exact, exact_list)):
+        for name in OPERATOR_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            assert getattr(exact[e], name).tobytes() == getattr(ref, name).tobytes()
     model = init_mlp(2, 2, 8, seed=1)
     predicted = bench.surrogate_local_ops(prob, model)
     x = np.stack([surrogate_input(s, prob.mesh.hx) for s in prob.sigma_fields])
-    predicted_list = [unflatten_operators(y, 2, 2, 8) for y in surrogate.forward(model, x)]
-    for ops, want in ((exact, exact_list), (predicted, predicted_list)):
-        assert len(ops) == len(want) == prob.mesh.n_elems
-        for e, (got, ref) in enumerate(zip(ops, want)):
-            for name in OPERATOR_FIELDS:
-                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
-                assert getattr(ops[e], name).tobytes() == getattr(ref, name).tobytes()
+    y = surrogate.forward(model, x)
+    assert len(predicted) == prob.mesh.n_elems
+    for e, got in enumerate(predicted):
+        assert flatten_operators(got).tobytes() == y[e].tobytes()
+        assert flatten_operators(predicted[e]).tobytes() == y[e].tobytes()
+        assert not got.fhat_u.any() and not got.f_mean.any()
     # the surrogate's operators are read in place from one forward output
     out = predicted.a_i2o.base
     assert out.shape == (prob.mesh.n_elems, model.dims[-1]) and predicted.a_i2m.base is out
     assert predicted[3].a_i2o.base is out
+
+
+def test_exact_local_ops_write_one_label_stack(set_workers):
+    # hdg's operators are rows of one (n_elems, output_size) array, each the
+    # training label of its element: flatten_operators of its exact solve
+    prob = bench.build_problem(DESK, 0)
+    h = (prob.mesh.hx, prob.mesh.hy)
+    set_workers(2)
+    ops = bench.exact_local_ops(prob)
+    rows = ops.a_i2o.base
+    assert rows.shape == (prob.mesh.n_elems, output_size(2, 2, 8))
+    assert ops.a_i2m.base is rows
+    for e, sigma in enumerate(prob.sigma_fields):
+        want = flatten_operators(solve_element(sigma, prob.grid, prob.kernel, h, element_index=e))
+        assert rows[e].tobytes() == want.tobytes()
+        assert ops[e].a_i2o.base is rows and ops[e].a_i2m.base is rows
 
 
 def test_hdg_el_solve_makes_no_copy_of_the_operator_stack():

@@ -13,7 +13,7 @@ from rthdg.mesh import build_mesh, skeleton_numbering
 
 
 def test_far_field_decay():
-    val = idealized_sigma(1, 0.0, 0.0)
+    val = idealized_sigma(0.0, 0.0, CloudParams())
     assert val < 1e-3 * CloudParams().amplitude
 
 
@@ -23,7 +23,7 @@ def test_scatterer_center_saturation():
     d = np.hypot(cx - ox, cy - oy)
     expected = cloud.amplitude * (smooth_step(-cloud.radius / cloud.width)
                                   + smooth_step((d - cloud.radius) / cloud.width))
-    assert abs(idealized_sigma(1, cx, cy) - expected) < 1e-6
+    assert abs(idealized_sigma(cx, cy, cloud) - expected) < 1e-6
 
 
 def test_edge_sharpness_ratio():
@@ -33,25 +33,23 @@ def test_edge_sharpness_ratio():
     r_edge = cx - cloud1.radius
     eps = 1e-6
 
-    def slope(case):
-        hi = idealized_sigma(case, r_edge + eps, cy)
-        lo = idealized_sigma(case, r_edge - eps, cy)
+    def slope(cloud):
+        hi = idealized_sigma(r_edge + eps, cy, cloud)
+        lo = idealized_sigma(r_edge - eps, cy, cloud)
         return (hi - lo) / (2 * eps)
 
-    ratio = slope(2) / slope(1)
+    ratio = slope(cloud2) / slope(cloud1)
     assert abs(ratio - cloud1.width / cloud2.width) < 0.05 * 4
 
 
 def test_out_of_domain_rejected():
     with pytest.raises(ValueError):
-        idealized_sigma(1, 3.5, 1.0)
+        idealized_sigma(3.5, 1.0, CloudParams())
     with pytest.raises(ValueError):
-        idealized_sigma(1, 1.0, -0.1)
+        idealized_sigma(1.0, -0.1, CloudParams())
 
 
 def test_unknown_case():
-    with pytest.raises(ValueError):
-        idealized_sigma(7, 1.0, 1.0)
     with pytest.raises(ValueError):
         default_config("mystery")
 

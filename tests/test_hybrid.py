@@ -12,19 +12,31 @@ from rthdg.errors import SolverFailure
 from rthdg.hybrid import (ElementNodalField, HybridSystem, SkeletonState, assemble_hybrid,
                           project_boundary, recover_mean_intensity,
                           recover_solution, relative_l2_error, solve_hybrid)
-from rthdg.local import ElementOperators, LocalOperators, SigmaField, solve_element
+from rthdg.local import SigmaField, solve_element
 from rthdg.mesh import build_mesh, skeleton_numbering
+from rthdg.surrogate import output_size, unflatten_operators
 
 
 def zero_sigma(p):
     return SigmaField(np.zeros((p + 1, p + 1)), np.zeros((p + 1, p + 1)))
 
 
+def label_rows(n_elems, p, na, rows=None):
+    """ElementOperators over a fresh label-layout stack (rows: its values, else empty)."""
+    if rows is None:
+        rows = np.empty((n_elems, output_size(p, p, na)))
+    return unflatten_operators(rows, p, p, na)
+
+
 def exact_ops(mesh, grid, kernel, sigmas, f=None):
+    """Exact operators of the elements of sigmas (on mesh's element size)."""
     h = (mesh.hx, mesh.hy)
-    return [solve_element(sigmas[e], grid, kernel, h,
-                          f=None if f is None else f[e], element_index=e)
-            for e in range(mesh.n_elems)]
+    p = sigmas[0].sigma_s.shape[0] - 1
+    ops = label_rows(len(sigmas), p, grid.n_elems)
+    for e, sigma in enumerate(sigmas):
+        ops[e] = solve_element(sigma, grid, kernel, h,
+                               f=None if f is None else f[e], element_index=e)
+    return ops
 
 
 def beam_bc(grid, a_star, amp=1.0, lit=None):
@@ -157,7 +169,7 @@ def test_skeleton_apply_matches_element_loop():
 def test_skeleton_apply_bitwise_equal_across_workers(monkeypatch, set_workers):
     # with forcing and random Dirichlet data: the skeleton apply, right-hand
     # side and recovery split over element blocks give the bits of one
-    # batched product, from the container and from a list of operators
+    # batched product, from label rows with a gap between them too
     rng = np.random.default_rng(9)
     p, na = 2, 8
     grid = build_angular_grid(na)
@@ -167,8 +179,12 @@ def test_skeleton_apply_bitwise_equal_across_workers(monkeypatch, set_workers):
     sigmas = [SigmaField.from_scattering(rng.uniform(0, 4, (p + 1, p + 1)), 0.9)
               for _ in range(mesh.n_elems)]
     f = [rng.uniform(0, 1, (p + 1, p + 1)) for _ in range(mesh.n_elems)]
-    listed = exact_ops(mesh, grid, kernel, sigmas, f=f)
-    stacked = ElementOperators.of(listed)
+    stacked = exact_ops(mesh, grid, kernel, sigmas, f=f)
+    rows = np.zeros((mesh.n_elems, output_size(p, p, na) + 1))[:, 1:]
+    rows[:] = stacked.a_i2o.base
+    strided = label_rows(mesh.n_elems, p, na, rows)
+    strided.fhat_u[:] = stacked.fhat_u
+    strided.f_mean[:] = stacked.f_mean
     v = rng.standard_normal(index.n_free)
     bc = SkeletonState(values=rng.uniform(0, 1, index.n_dofs),
                        dirichlet_mask=index.dirichlet_mask.copy())
@@ -183,11 +199,11 @@ def test_skeleton_apply_bitwise_equal_across_workers(monkeypatch, set_workers):
                 system.preconditioner().blocks.tobytes(),
                 solve_hybrid(system, bc, tol=1e-10)[0].values.tobytes()]
 
-    want = outputs(listed, 1)  # one block: below pool.MIN_BLOCK_WORK
+    want = outputs(stacked, 1)  # one block: below pool.MIN_BLOCK_WORK
     monkeypatch.setattr(pool, "MIN_BLOCK_WORK", 1)  # one element is enough for a block
     for workers in (1, 2, 4):
-        assert outputs(listed, workers) == want
         assert outputs(stacked, workers) == want
+        assert outputs(strided, workers) == want
 
 
 def skeleton_matrix(system):
@@ -205,10 +221,11 @@ def same_quadrant(index):
 
 def random_ops(rng, index):
     """Random in2out blocks of norm about 1 (the other operators zero)."""
-    n_el, n, n_sp = index.mesh.n_elems, index.tracemap.n_in, (index.p + 1) ** 2
-    return ElementOperators(a_i2o=rng.standard_normal((n_el, n, n)) / n,
-                            a_i2m=np.zeros((n_el, n_sp, n)), fhat_u=np.zeros((n_el, n)),
-                            f_mean=np.zeros((n_el, n_sp)))
+    n_el, n = index.mesh.n_elems, index.tracemap.n_in
+    ops = label_rows(n_el, index.p, index.grid.n_elems,
+                     np.zeros((n_el, output_size(index.p, index.p, index.grid.n_elems))))
+    ops.a_i2o[:] = rng.standard_normal((n_el, n, n)) / n
+    return ops
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,7 +308,7 @@ def test_missing_element_operators():
     mesh = build_mesh(2.0, 1.0, 2, 1)
     index = skeleton_numbering(mesh, grid, 1)
     with pytest.raises(ValueError):
-        assemble_hybrid(index, exact_ops(mesh, grid, kernel, [zero_sigma(1)] * 2)[:1])
+        assemble_hybrid(index, exact_ops(mesh, grid, kernel, [zero_sigma(1)]))
 
 
 def test_downstream_inflow_equals_upstream_outflow():
@@ -346,9 +363,9 @@ def test_solver_failure_carries_residuals():
     index = skeleton_numbering(mesh, grid, 1)
     n = index.elem_inflow.shape[1]
     rng = np.random.default_rng(3)
-    bad = [LocalOperators(a_i2o=6.0 * rng.standard_normal((n, n)),
-                          a_i2m=np.zeros((4, n)), fhat_u=np.zeros(n),
-                          f_mean=np.zeros(4)) for _ in range(2)]
+    bad = label_rows(2, 1, 4, np.zeros((2, output_size(1, 1, 4))))
+    for e in range(2):
+        bad.a_i2o[e] = 6.0 * rng.standard_normal((n, n))
     system = assemble_hybrid(index, bad)
     bc = project_boundary(beam_bc(grid, 0), index)
     with pytest.raises(SolverFailure) as err:

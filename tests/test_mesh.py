@@ -3,8 +3,8 @@ import pytest
 
 from rthdg.angular import build_angular_grid
 from rthdg.basis import lgl_quadrature
-from rthdg.mesh import (ElementTraceMap, build_mesh, refinement_schedule,
-                        skeleton_numbering)
+from rthdg.mesh import (ElementTraceMap, build_mesh, element_node_coords,
+                        refinement_schedule, skeleton_numbering)
 
 
 def test_face_count_formula():
@@ -25,6 +25,20 @@ def test_interior_faces_have_two_elements():
     assert np.all(mesh.face_minus[interior] >= 0)
     assert np.all(mesh.face_plus[interior] >= 0)
     assert interior.sum() == mesh.n_faces - (2 * 3 + 2 * 3)
+
+
+def test_element_node_coords_span_each_element():
+    # LGL nodes mapped onto every element: the end nodes are its edges
+    mesh = build_mesh(3.0, 2.0, 3, 4)
+    xs, ys = element_node_coords(mesh, 3)
+    assert xs.shape == ys.shape == (12, 4)
+    q = lgl_quadrature(3)
+    for e in range(mesh.n_elems):
+        x0, y0 = mesh.elem_origin(e)
+        np.testing.assert_allclose(xs[e], x0 + 0.5 * mesh.hx * (q.nodes + 1.0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ys[e], y0 + 0.5 * mesh.hy * (q.nodes + 1.0), rtol=0, atol=1e-15)
+        np.testing.assert_allclose([xs[e, 0], xs[e, -1]], [x0, x0 + mesh.hx], atol=1e-15)
+        np.testing.assert_allclose([ys[e, 0], ys[e, -1]], [y0, y0 + mesh.hy], atol=1e-15)
 
 
 def test_square_elements_under_schedule():

@@ -11,7 +11,7 @@ from rthdg.surrogate import (_ADAM_CHUNK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                              TrainState, _adam_step, elu, elu_grad, flatten_operators,
                              forward, init_mlp, input_size, load_model,
                              mae_gradients, mae_loss, model_fingerprint,
-                             output_size, predict_local_ops, save_model,
+                             output_size, predict_local_ops_batch, save_model,
                              surrogate_input, trace_count, train,
                              unflatten_operators)
 
@@ -336,21 +336,27 @@ def test_surrogate_input_scaling():
 def test_flatten_unflatten_roundtrip():
     rng = np.random.default_rng(2)
     n_tr, n_sp = trace_count(2, 2, 8), 9
-    y = rng.standard_normal(n_tr * n_tr + n_sp * n_tr)
-    ops = unflatten_operators(y, 2, 2, 8)
-    assert ops.a_i2o.shape == (n_tr, n_tr)
-    assert ops.a_i2m.shape == (n_sp, n_tr)
-    np.testing.assert_array_equal(flatten_operators(ops), y)
+    y = rng.standard_normal((3, n_tr * n_tr + n_sp * n_tr))
+    stack = unflatten_operators(y, 2, 2, 8)
+    for e, ops in enumerate(stack):
+        assert ops.a_i2o.shape == (n_tr, n_tr)
+        assert ops.a_i2m.shape == (n_sp, n_tr)
+        np.testing.assert_array_equal(flatten_operators(ops), y[e])
+    # writing an element writes its row
+    back = unflatten_operators(np.zeros_like(y), 2, 2, 8)
+    for e, ops in enumerate(stack):
+        back[e] = ops
+    assert back.a_i2o.base.tobytes() == y.tobytes()
     with pytest.raises(ValueError):
-        unflatten_operators(y[:-1], 2, 2, 8)
+        unflatten_operators(y[:, :-1], 2, 2, 8)
 
 
 def test_predict_shapes_full_scale():
     model = init_mlp(6, 6, 28, n_layers=1, seed=0)
     sig = SigmaField.from_scattering(np.ones((7, 7)), 1.0)
-    ops = predict_local_ops(model, sig, 2.0)
-    assert ops.a_i2o.shape == (392, 392)
-    assert ops.a_i2m.shape == (49, 392)
+    ops = predict_local_ops_batch(model, [sig], 2.0, 28)
+    assert ops.a_i2o.shape == (1, 392, 392)
+    assert ops.a_i2m.shape == (1, 49, 392)
     assert np.abs(ops.fhat_u).max() == 0.0
 
 
@@ -358,7 +364,10 @@ def test_predict_dimension_mismatch():
     model = init_mlp(3, 3, 8, n_layers=1, seed=0)
     sig = SigmaField.from_scattering(np.ones((3, 3)), 1.0)  # p = 2, not 3
     with pytest.raises(ModelMismatch):
-        predict_local_ops(model, sig, 2.0)
+        predict_local_ops_batch(model, [sig], 2.0, 8)
+    sig = SigmaField.from_scattering(np.ones((4, 4)), 1.0)
+    with pytest.raises(ModelMismatch):
+        predict_local_ops_batch(model, [sig], 2.0, 12)  # N_a = 12, not 8
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -518,11 +527,16 @@ def test_unflatten_a_stack_gives_views_of_each_row():
     stack = unflatten_operators(y, p, p, na)
     assert len(stack) == 5 and stack.a_i2o.shape == (5, n_tr, n_tr)
     assert np.shares_memory(stack.a_i2o, y) and np.shares_memory(stack.a_i2m, y)
+    n_i2o = n_tr * n_tr
     for e, ops in enumerate(stack):
-        one = unflatten_operators(y[e], p, p, na)
-        for name in ("a_i2o", "a_i2m", "fhat_u", "f_mean"):
-            assert getattr(ops, name).tobytes() == getattr(one, name).tobytes()
+        assert np.shares_memory(ops.a_i2o, y[e]) and np.shares_memory(ops.a_i2m, y[e])
+        assert ops.a_i2o.tobytes() == y[e, :n_i2o].tobytes()
+        assert ops.a_i2m.tobytes() == y[e, n_i2o:].tobytes()
+        assert not ops.fhat_u.any() and not ops.f_mean.any()
+    assert stack.fhat_u.flags.writeable and stack.f_mean.flags.writeable
     with pytest.raises(ValueError):
         unflatten_operators(y[:, 1:], p, p, na)
     with pytest.raises(ValueError):
         unflatten_operators(y[None], p, p, na)
+    with pytest.raises(ValueError):
+        unflatten_operators(y[0], p, p, na)  # one row is not a stack
