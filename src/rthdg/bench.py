@@ -22,7 +22,7 @@ from .cases import CaseConfig, build_beam_bc, sigma_nodal_fields
 from .datagen import DiscretizationConfig, SamplerConfig, generate_dataset, save_dataset
 from .hybrid import (ElementNodalField, assemble_hybrid, project_boundary,
                      recover_mean_intensity, relative_l2_error, solve_hybrid)
-from .local import ElementOperators, solve_element
+from .local import ElementOperators, reference_kernels, solve_element
 from .mesh import build_mesh, refinement_schedule, skeleton_numbering
 from .surrogate import (DEFAULT_SCHEDULE, DESK_SCHEDULE, MlpModel, check_training, init_mlp,
                         model_fingerprint, output_size, predict_local_ops_batch, save_model,
@@ -113,9 +113,10 @@ def exact_local_ops(problem: Problem, f=None) -> ElementOperators:
             ops[e] = solve_element(problem.sigma_fields[e], grid, kernel, h,
                                    f=None if f is None else f[e], element_index=e)
 
-    # one element's LU, n_vol^3 = 2^21 at desk scale, exceeds pool.MIN_BLOCK_WORK
-    n_vol = problem.volume_dofs // mesh.n_elems
-    pool.run_blocks(solve_block, pool.element_bounds(mesh.n_elems, n_vol ** 3))
+    # work per element: the condensed solve's multiply-adds, 0.95M at desk
+    # scale and 0.92G at paper scale
+    work = reference_kernels(p, grid).solve_work
+    pool.run_blocks(solve_block, pool.element_bounds(mesh.n_elems, work))
     return ops
 
 

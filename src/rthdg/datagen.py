@@ -23,7 +23,7 @@ import numpy as np
 from .angular import build_angular_grid, scattering_kernel_matrix
 from .basis import modal_nodal_transform
 from .errors import FormatError, SolverFailure
-from .local import SigmaField, solve_element
+from .local import SigmaField, reference_kernels, solve_element
 from .pool import element_bounds, run_blocks
 from .surrogate import input_size, output_size, unflatten_operators
 
@@ -110,9 +110,10 @@ def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
 
     Deterministic under a fixed seed; the split is 80/20 by sample index.
     The samples are labelled in contiguous blocks on the element worker pool
-    (`pool.default_workers()` threads) when each block's LU work reaches
-    `pool.MIN_BLOCK_WORK`. A failed local solve is recorded and the
-    sample redrawn from a fresh stream (a probability-zero event kept for
+    (`pool.default_workers()` threads) when each block's work, the condensed
+    solve's multiply-adds per label (`solve_work`), reaches
+    `pool.MIN_BLOCK_WORK`. A failed local solve is recorded and the sample
+    redrawn from a fresh stream (a probability-zero event kept for
     robustness); the redraws run on the calling thread in sample order.
     """
     if n_samp < 5:
@@ -140,7 +141,7 @@ def generate_dataset(sampler: SamplerConfig, disc: DiscretizationConfig,
     def label_block(lo, hi):
         return [i for i in range(lo, hi) if not label(i, i)]
 
-    bounds = element_bounds(n_samp, (n_in * disc.n_a) ** 3)
+    bounds = element_bounds(n_samp, reference_kernels(disc.p, grid).solve_work)
     failed = [i for block in run_blocks(label_block, bounds) for i in block]
     resamples = len(failed)
     fresh = n_samp  # next stream index for redraws

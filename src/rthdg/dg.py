@@ -119,10 +119,12 @@ def sweep_blocks(system: DgSystem, ids: np.ndarray) -> np.ndarray:
     """
     na = system.grid.n_elems
     n_sp = (system.p + 1) ** 2
-    base = reference_kernels(system.p, system.grid).transport_base(
-        system.mesh.hx, system.mesh.hy)
-    # B - C couples no two angles: its block of angle a is base[n*na + a, m*na + a]
-    base_blocks = np.einsum("iaja->aij", base.reshape(n_sp, na, n_sp, na))
+    ref = reference_kernels(system.p, system.grid)
+    base = ref.transport_base(system.mesh.hx, system.mesh.hy)
+    # B - C couples no two angles: its block of angle a couples the DOFs
+    # n*na + a, which sit at base's places pos[a, n]
+    pos = ref.position.reshape(n_sp, na).T
+    base_blocks = base[pos[:, :, None], pos[:, None, :]]
     elem, ang = np.divmod(ids, na)
     blocks = base_blocks[ang]
     np.einsum("kii->ki", blocks)[...] += system.block_shift[elem, ang]
@@ -186,16 +188,17 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
 
     # element balances B - C + M - S: one pattern for every element, the
     # nonzeros of B - C plus every same-node angle pair (n, a), (n, a')
-    base = ref.transport_base(*h)
-    rows, cols = np.nonzero((base != 0) | np.kron(np.eye(n_sp, dtype=bool),
-                                                  np.ones((na, na), dtype=bool)))
+    base = ref.transport_base(*h)  # in [J | I] order: read through ref.position
+    pos = ref.position
+    rows, cols = np.nonzero((base != 0)[np.ix_(pos, pos)]
+                            | np.kron(np.eye(n_sp, dtype=bool), np.ones((na, na), dtype=bool)))
     node, ang = np.divmod(rows, na)
     pair = np.flatnonzero(node == cols // na)
     diag = np.flatnonzero(rows == cols)  # one per row, in row order
     m_diag, s_coef = extinction_scattering(np.stack([sig.sigma_e for sig in sigma_fields]),
                                            np.stack([sig.sigma_s for sig in sigma_fields]),
                                            grid, h)
-    vals = np.repeat(base[rows, cols][None, :], n_el, axis=0)
+    vals = np.repeat(base[pos[rows], pos[cols]][None, :], n_el, axis=0)
     vals[:, diag] += m_diag.reshape(n_el, n_vol)
     vals[:, pair] -= s_coef[:, node[pair]] * kernel.kernel[ang[pair], cols[pair] % na]
     block_shift = (m_diag - s_coef[:, :, None] * np.diag(kernel.kernel)).transpose(0, 2, 1)

@@ -14,6 +14,7 @@ Both elements sharing an interior face enumerate its nodes identically, so a
 trace DOF has one global index regardless of the sampling side.
 """
 
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -187,11 +188,81 @@ class ElementTraceMap:
         self.n_in = len(inflow)
         self.n_out = len(outflow)
 
+    @functools.cached_property
+    def symmetries(self) -> list["ElementSymmetry"]:
+        """The 8 rotations and reflections (D4) of the square element, identity first."""
+        return [_element_symmetry(self, swap, sx, sy)
+                for swap in (False, True) for sx in (1, -1) for sy in (1, -1)]
+
     def _select(self, slots, idx, tag):
         for k in ("face", "node", "ang", "vol"):
             setattr(self, f"{tag}flow_{k}", slots[k][idx])
         setattr(self, f"{tag}flow_wnode", slots["wnode"][idx])
         setattr(self, f"{tag}flow_flux", slots["flux"][idx])
+
+
+@dataclass(frozen=True)
+class ElementSymmetry:
+    """One rotation or reflection T of the square element, as index gathers.
+
+    T maps reference coordinates (xi, eta), and directions alike, to
+    (sx * xi, sy * eta), after swapping the two when swap is set. The image
+    of a nodal field v (flattened node-major) is v[node], of an inflow trace
+    u is u[inflow], of an outflow trace u[outflow]. An element whose
+    coefficients are the image of another's has the image operators
+    a_i2o[np.ix_(outflow, inflow)] and a_i2m[np.ix_(node, inflow)].
+    """
+
+    swap: bool
+    sx: int
+    sy: int
+    node: np.ndarray = field(repr=False)     # (n_sp,)
+    inflow: np.ndarray = field(repr=False)   # (n_in,)
+    outflow: np.ndarray = field(repr=False)  # (n_out,)
+
+
+def _element_symmetry(tm: ElementTraceMap, swap: bool, sx: int, sy: int) -> ElementSymmetry:
+    """The gathers of one D4 map, from the trace map's (face, node, angle) records."""
+    p, grid = tm.p, tm.grid
+    n1, na = p + 1, grid.n_elems
+
+    def turn(x, y):  # the swap, then the signs
+        x, y = (y, x) if swap else (x, y)
+        return sx * x, sy * y
+
+    def node_image(ix, iy):  # LGL node i sits at minus node p - i: flip 2i - p exactly
+        jx, jy = turn(2 * ix - p, 2 * iy - p)
+        return (jx + p) // 2, (jy + p) // 2
+
+    ix, iy = np.divmod(np.arange(n1 * n1), n1)
+    jx, jy = node_image(ix, iy)
+    node = np.empty(n1 * n1, dtype=np.int64)
+    node[jx * n1 + jy] = np.arange(n1 * n1)
+    # angular elements: the image of each midpoint direction
+    cx, cy = turn(np.cos(grid.midpoints), np.sin(grid.midpoints))
+    ang_image = np.floor(np.mod(np.arctan2(cy, cx), 2.0 * np.pi) * na / (2.0 * np.pi))
+    ang_image = ang_image.astype(np.int64)
+    face_image = np.array([ELEMENT_FACE_NORMALS.index(tuple(float(c) for c in turn(*normal)))
+                           for normal in ELEMENT_FACE_NORMALS])
+
+    def slot_gather(face, face_node, ang):
+        # the volume node under each slot, its image, and the image slot's key
+        on_x = np.choose(face, (0, p, face_node, face_node))
+        on_y = np.choose(face, (face_node, face_node, 0, p))
+        img_x, img_y = node_image(on_x, on_y)
+        img_face = face_image[face]
+        img_node = np.where(img_face < FACE_BOTTOM, img_y, img_x)
+        lookup = np.full(4 * n1 * na, -1, dtype=np.int64)
+        lookup[(face * n1 + face_node) * na + ang] = np.arange(face.size)
+        target = lookup[(img_face * n1 + img_node) * na + ang_image[ang]]
+        gather = np.empty(face.size, dtype=np.int64)
+        gather[target] = np.arange(face.size)
+        return gather
+
+    return ElementSymmetry(swap=swap, sx=sx, sy=sy, node=node,
+                           inflow=slot_gather(tm.inflow_face, tm.inflow_node, tm.inflow_ang),
+                           outflow=slot_gather(tm.outflow_face, tm.outflow_node,
+                                               tm.outflow_ang))
 
 
 _trace_map_cache: dict[tuple, ElementTraceMap] = {}

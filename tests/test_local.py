@@ -7,8 +7,8 @@ from local_oracle import oracle_operators, oracle_terms
 from rthdg.angular import build_angular_grid, scattering_kernel_matrix
 from rthdg.basis import lgl_quadrature
 from rthdg.errors import SolverFailure
-from rthdg.local import (SigmaField, assemble_local, element_solution,
-                         forcing_vector, local_solve, solve_element)
+from rthdg.local import (LocalBalance, SigmaField, assemble_local, element_solution,
+                         forcing_vector, local_solve, reference_kernels, solve_element)
 from rthdg.mesh import FACE_LEFT, FACE_RIGHT, element_trace_map
 
 
@@ -55,34 +55,69 @@ def test_sigma_field_validation():
 def test_full_scale_shapes():
     grid = build_angular_grid(28)
     kernel = scattering_kernel_matrix(grid, 0.8)
-    a = assemble_local(const_sigma(6, 1.0, 1.0), grid, kernel, 2.0)
-    assert a.shape == (1372, 1372)
-    assert a.flags.f_contiguous  # LAPACK factors it in place
+    balance = assemble_local(const_sigma(6, 1.0, 1.0), grid, kernel, 2.0)
+    assert balance.dense().shape == (1372, 1372)
+    # 364 inflow unknowns: the 392 inflow slots less the 28 second slots of
+    # corner DOFs (7 angles enter each corner through both of its faces)
     assert element_trace_map(6, grid).n_in == 392
+    assert balance.jj.shape == (1008, 1008) and balance.ii.shape == (364, 364)
+    assert balance.ji.shape == (1008, 364) and balance.ij.shape == (364, 1008)
+    for block in (balance.jj, balance.ji, balance.ii):
+        assert block.flags.f_contiguous  # LAPACK overwrites it in place
 
 
-@pytest.mark.parametrize("p, na, forced", [(6, 28, False), (3, 8, False), (3, 8, True)])
+def assert_matches_oracle(sig, grid, kernel, h, f, tol):
+    """All four operators, element_solution and A against the dense oracle."""
+    ops = solve_element(sig, grid, kernel, h, f=f)
+    want = oracle_operators(sig, grid, kernel, h, f=f)
+    for name in ("a_i2o", "a_i2m"):
+        assert rel_dev(getattr(ops, name), want[name]) < tol, name
+    if f is not None:
+        for name in ("fhat_u", "f_mean"):
+            assert rel_dev(getattr(ops, name), want[name]) < tol, name
+    else:
+        assert not np.any(ops.fhat_u) and not np.any(ops.f_mean)
+    terms = oracle_terms(sig, grid, kernel, h, f=f)
+    ghat = np.random.default_rng(7).uniform(0.0, 1.0, ops.a_i2o.shape[1])
+    u = element_solution(sig, grid, kernel, h, ghat, f=f)
+    assert rel_dev(u, np.linalg.solve(terms.a, terms.f - terms.bhat @ ghat)) < tol
+    assert rel_dev(assemble_local(sig, grid, kernel, h).dense(), terms.a) < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 3), na=st.sampled_from([4, 8]),
+       amp=st.one_of(st.just(0.0), st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)),
+       albedo=st.floats(1e-3, 1.0), g_asym=st.floats(0.0, 0.9),
+       hx=st.floats(0.1, 3.0), hy=st.floats(0.1, 3.0), forced=st.booleans(),
+       seed=st.integers(0, 2 ** 31 - 1))
+def drawn_oracle_case(p, na, amp, albedo, g_asym, hx, hy, forced, seed):
+    # amplitude 0 is pure advection, where A_JJ's regularity rests on the
+    # advection operator alone
+    grid = build_angular_grid(na)
+    rng = np.random.default_rng(seed)
+    sig = SigmaField.from_scattering(amp * rng.random((p + 1, p + 1)), albedo)
+    f = rng.uniform(-1.0, 1.0, (p + 1, p + 1, na)) if forced else None
+    assert_matches_oracle(sig, grid, scattering_kernel_matrix(grid, g_asym), (hx, hy), f,
+                          1e-11)
+
+
+@pytest.mark.parametrize("p, na, forced", [(6, 28, False), (3, 8, False), (3, 8, True),
+                                           pytest.param(None, None, None, id="drawn")])
 def test_operators_match_dense_oracle(p, na, forced):
-    # the in-place assembly and inflow-only solve reproduce the five-term
-    # dense oracle on a rectangular element with random coefficients
+    # the in-place assembly and the solve condensed on the inflow unknowns
+    # reproduce the five-term dense oracle: fixed random coefficients on a
+    # rectangular element, and hypothesis-drawn degree, angles, coefficients
+    # (sigma = 0 up to amplitude 1e4), albedo, asymmetry, sizes and forcing
+    if p is None:
+        drawn_oracle_case()
+        return
     grid = build_angular_grid(na)
     kernel = scattering_kernel_matrix(grid, 0.8)
     rng = np.random.default_rng(100 * p + na + forced)
     sig = SigmaField(rng.uniform(0.5, 6.0, (p + 1, p + 1)),
                      rng.uniform(0.0, 5.0, (p + 1, p + 1)))
     f = rng.uniform(-1.0, 1.0, (p + 1, p + 1)) if forced else None
-    h = (0.7, 0.4)
-    ops = solve_element(sig, grid, kernel, h, f=f)
-    want = oracle_operators(sig, grid, kernel, h, f=f)
-    for name in ("a_i2o", "a_i2m"):
-        assert rel_dev(getattr(ops, name), want[name]) < 1e-12, name
-    if forced:
-        for name in ("fhat_u", "f_mean"):
-            assert rel_dev(getattr(ops, name), want[name]) < 1e-12, name
-    else:
-        assert not np.any(ops.fhat_u) and not np.any(ops.f_mean)
-    np.testing.assert_allclose(assemble_local(sig, grid, kernel, h),
-                               oracle_terms(sig, grid, kernel, h).a, rtol=0, atol=1e-13)
+    assert_matches_oracle(sig, grid, kernel, (0.7, 0.4), f, 1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,8 +143,8 @@ def test_flux_conservation_at_albedo_one(p, g_asym, hx, hy, amp, seed):
 def test_extinction_mass_collocation(desk):
     grid, kernel = desk
     p = 4
-    m = (assemble_local(const_sigma(p, 1.0, 0.0), grid, kernel, 2.0)
-         - assemble_local(const_sigma(p, 0.0, 0.0), grid, kernel, 2.0))
+    m = (assemble_local(const_sigma(p, 1.0, 0.0), grid, kernel, 2.0).dense()
+         - assemble_local(const_sigma(p, 0.0, 0.0), grid, kernel, 2.0).dense())
     q = lgl_quadrature(p)
     w2 = np.kron(q.weights, q.weights)
     expected = np.repeat(w2, grid.n_elems) * np.tile(grid.widths, (p + 1) ** 2)
@@ -122,9 +157,11 @@ def test_zero_scattering_gives_zero_s(desk):
     grid, kernel = desk
     p, na = 3, grid.n_elems
     off = ~np.eye(na, dtype=bool)
-    blocks = node_blocks(assemble_local(const_sigma(p, 2.0, 0.0), grid, kernel, 2.0), p, na)
+    blocks = node_blocks(assemble_local(const_sigma(p, 2.0, 0.0), grid, kernel, 2.0).dense(),
+                         p, na)
     assert np.abs(blocks[:, off]).max() == 0.0
-    blocks = node_blocks(assemble_local(const_sigma(p, 2.0, 1.0), grid, kernel, 2.0), p, na)
+    blocks = node_blocks(assemble_local(const_sigma(p, 2.0, 1.0), grid, kernel, 2.0).dense(),
+                         p, na)
     assert np.all(blocks[:, off] < 0.0)
 
 
@@ -164,13 +201,26 @@ def test_zero_data_nullity(desk):
 
 
 def test_singular_local_matrix_reports_element():
-    # advection alone annihilates constants: (B=0, C, M=S=0) is singular
+    # a singular balance raises SolverFailure naming the element, whether the
+    # factorization of A_JJ or that of the Schur complement S meets it
     grid = build_angular_grid(4)
     kernel = scattering_kernel_matrix(grid, 0.0)
-    terms = oracle_terms(const_sigma(1, 0.0, 0.0), grid, kernel, 2.0)
-    broken = np.asfortranarray(-terms.c)
-    with pytest.raises(SolverFailure, match="17"):
-        local_solve(broken, np.asfortranarray(-terms.bhat), element_index=17)
+    sig = const_sigma(1, 1.0, 0.5)
+    balance = assemble_local(sig, grid, kernel, 2.0)
+    balance.jj[3] = balance.ji[3] = 0.0  # a zero row of A among J
+    with pytest.raises(SolverFailure, match=r"element 17 \(A_JJ\)"):
+        local_solve(balance, element_index=17)
+    balance = assemble_local(sig, grid, kernel, 2.0)
+    balance.ij[2] = balance.ii[2] = 0.0  # a zero row among I: A_JJ stays regular
+    with pytest.raises(SolverFailure, match=r"element 17 \(Schur complement\)"):
+        local_solve(balance, element_index=17)
+    # advection alone annihilates constants: (B=0, C, M=S=0) is singular
+    ref = reference_kernels(1, grid)
+    broken = -oracle_terms(sig, grid, kernel, 2.0).c[np.ix_(ref.perm, ref.perm)]
+    j, i = slice(None, ref.n_j), slice(ref.n_j, None)
+    blocks = [np.asfortranarray(broken[r, c]) for r, c in ((j, j), (j, i), (i, j), (i, i))]
+    with pytest.raises(SolverFailure, match="element 17"):
+        local_solve(LocalBalance(*blocks, ref=ref), element_index=17)
 
 
 def test_extract_shapes_full_scale():
@@ -294,3 +344,41 @@ def test_extract_consistency(desk):
     np.testing.assert_allclose(ops.f_mean,
                                f_u.reshape((p + 1) ** 2, grid.n_elems) @ grid.mean_weights,
                                atol=1e-15)
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=st.integers(1, 3), na=st.sampled_from([4, 8]),
+       amp=st.one_of(st.just(0.0), st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)),
+       albedo=st.floats(0.05, 1.0), g_asym=st.floats(0.0, 0.9), h=st.floats(0.1, 3.0),
+       seed=st.integers(0, 2 ** 31 - 1))
+def drawn_d4_case(p, na, amp, albedo, g_asym, h, seed):
+    grid = build_angular_grid(na)
+    sigma_s = amp * np.random.default_rng(seed).random((p + 1, p + 1))
+    assert_d4_equivariant(sigma_s, albedo, grid, scattering_kernel_matrix(grid, g_asym), h)
+
+
+def assert_d4_equivariant(sigma_s, albedo, grid, kernel, h):
+    # the element with the image coefficients has the image operators
+    p = sigma_s.shape[0] - 1
+    ops = solve_element(SigmaField.from_scattering(sigma_s, albedo), grid, kernel, h)
+    symmetries = element_trace_map(p, grid).symmetries
+    assert len({t.inflow.tobytes() for t in symmetries}) == 8  # 8 distinct maps
+    for t in symmetries:
+        image = SigmaField.from_scattering(sigma_s.reshape(-1)[t.node].reshape(p + 1, p + 1),
+                                           albedo)
+        got = solve_element(image, grid, kernel, h)
+        assert rel_dev(got.a_i2o, ops.a_i2o[np.ix_(t.outflow, t.inflow)]) < 1e-13, t
+        assert rel_dev(got.a_i2m, ops.a_i2m[np.ix_(t.node, t.inflow)]) < 1e-13, t
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_d4_images_permute_the_operators(scale):
+    # the 8 rotations and reflections of a square element permute a_i2o and
+    # a_i2m into the operators of the image coefficients: hypothesis-drawn
+    # small cases, and one paper-scale element
+    if scale == "desk":
+        drawn_d4_case()
+        return
+    grid = build_angular_grid(28)
+    sigma_s = np.random.default_rng(8).uniform(0.0, 10.0, (7, 7))
+    assert_d4_equivariant(sigma_s, 0.9, grid, scattering_kernel_matrix(grid, 0.8), 0.5)
