@@ -205,14 +205,10 @@ def compute_reference(cfg: CaseConfig, l_ref: int | None = None,
     """Overrefined DG reference mean intensity for error estimation."""
     level = cfg.ref_level if l_ref is None else l_ref
     tol = cfg.ref_tol if tol is None else tol
-    problem = build_problem(cfg, level)
-    system = dg_mod.assemble_dg(problem.mesh, problem.grid, problem.kernel,
-                                problem.sigma_fields, cfg.p, g=problem.g)
-    u, info = dg_mod.solve_dg(system, tol=tol)
-    fld = dg_mod.dg_mean_intensity(u, problem.mesh, problem.grid, cfg.p)
+    report, fld = run_case(cfg, "dg", level=level, tol=tol)
     meta = {"case": cfg.case, "level": level, "tol": tol,
-            "partition": [problem.mesh.nx, problem.mesh.ny],
-            "gmres_iters": info.iterations,
+            "partition": report.meta["partition"],
+            "gmres_iters": report.gmres_iters,
             "level_override": l_ref is not None and l_ref != cfg.ref_level}
     return fld, meta
 

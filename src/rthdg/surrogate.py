@@ -140,11 +140,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     h = x[None, :] if single else x
     if h.shape[1] != model.dims[0]:
         raise ValueError(f"input width {h.shape[1]} does not match model N_in={model.dims[0]}")
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = h @ w
-        h += b
-        h = elu(h)
-    out = _output_layer(h, model.weights[-1], model.biases[-1])
+    out = _forward_cached(model, h)[0][-1]
     return out[0] if single else out
 
 

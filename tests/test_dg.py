@@ -244,6 +244,24 @@ def test_gmres_matches_dense_with_scattering():
     assert np.abs(u_it - u_ref).max() < 1e-9 * np.abs(u_ref).max()
 
 
+def test_reported_residual_is_true_residual():
+    # right preconditioning leaves GMRES's residual that of A u = b
+    rng = np.random.default_rng(17)
+    p, na = 2, 8
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, 0.8)
+    mesh = build_mesh(3.0, 2.0, 3, 2)
+    sigmas = [SigmaField(sigma_e=se, sigma_s=0.9 * se)
+              for se in rng.uniform(0, 4, (mesh.n_elems, p + 1, p + 1))]
+    system = dgm.assemble_dg(mesh, grid, kernel, sigmas, p, g=beam_bc(grid, 6))
+    tol = 1e-6
+    u, info = dgm.solve_dg(system, tol=tol)
+    true = np.linalg.norm(system.b - system.matrix @ u) / np.linalg.norm(system.b)
+    assert info.iterations > 1
+    assert info.residuals[-1] <= tol
+    assert abs(info.residuals[-1] - true) < 1e-12
+
+
 def test_forcing_enters_rhs():
     grid = build_angular_grid(4)
     kernel = scattering_kernel_matrix(grid, 0.5)

@@ -452,6 +452,33 @@ def test_global_energy_balance_small():
     assert abs(fout - fin) / fin <= max(10 * tol, 1e-8)
 
 
+def looped_boundary_fluxes(uhat, index):
+    """Reference for `boundary_fluxes`: the flux sums element by element."""
+    mesh, tm = index.mesh, index.tracemap
+    scale_in = np.where(np.isin(tm.inflow_face, (0, 1)), 0.5 * mesh.hy, 0.5 * mesh.hx)
+    scale_out = np.where(np.isin(tm.outflow_face, (0, 1)), 0.5 * mesh.hy, 0.5 * mesh.hx)
+    influx = outflux = 0.0
+    for e in range(mesh.n_elems):
+        on_bdry_in = index.dirichlet_mask[index.elem_inflow[e]]
+        on_bdry_out = mesh.boundary_faces[mesh.elem_faces[e]][tm.outflow_face]
+        vin = uhat.values[index.elem_inflow[e]]
+        vout = uhat.values[index.elem_outflow[e]]
+        influx += np.sum((-tm.inflow_flux * tm.inflow_wnode * scale_in * vin)[on_bdry_in])
+        outflux += np.sum((tm.outflow_flux * tm.outflow_wnode * scale_out * vout)[on_bdry_out])
+    return influx, outflux
+
+
+@pytest.mark.parametrize("nx, ny, p, na", [(2, 2, 2, 8), (3, 2, 1, 4), (1, 3, 3, 12)])
+def test_boundary_fluxes_match_element_loop(nx, ny, p, na):
+    from rthdg.hybrid import boundary_fluxes
+    rng = np.random.default_rng(nx * 100 + ny * 10 + p)
+    index = skeleton_numbering(build_mesh(3.0, 2.0, nx, ny), build_angular_grid(na), p)
+    uhat = SkeletonState(values=rng.uniform(0.5, 1.5, index.n_dofs),
+                         dirichlet_mask=index.dirichlet_mask.copy())
+    got, want = boundary_fluxes(uhat, index), looped_boundary_fluxes(uhat, index)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 def make_field(nx, ny, p, fun):
     from rthdg.basis import lgl_quadrature
     mesh = build_mesh(3.0, 2.0, nx, ny)
