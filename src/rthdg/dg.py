@@ -23,12 +23,26 @@ the angle's inflow corner, P is block lower triangular. P^-1 r is therefore
 one exact upwind sweep: per step, gather, subtract the upwind couplings,
 apply the inverted (p+1)^2-blocks in one batched matmul, and scatter. No
 global factorization is formed.
+
+The sweep drops exactly the scattering that carries the angular mean, the
+slowest error mode in optically thick, scattering-dominated regions. So
+each application ends with one Galerkin coarse correction on the element
+means, a linear form of coarse-mesh rebalance: with E the indicator of
+each element's DOFs, x = P^-1 r is corrected by E A_c^-1 E^T (r - A x),
+A_c = E^T A E, after which every element's summed balance holds exactly.
+The correction needs no product with A: A = P - S_off, with S_off the
+scattering between different angles, so r - A P^-1 r = S_off P^-1 r, whose
+element sums are sum_n s_coef[e, n] sum_b c_b x[e, n, b] with c_b =
+sum_{a != b} K[a, b]. A_c has at most five nonzeros per row and is built
+from the same pieces as A and factored once; at sigma_s = 0 the
+correction is zero and the preconditioner stays exact.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .angular import AngularGrid, PhaseKernel
 from .errors import SolverFailure
@@ -54,6 +68,8 @@ class DgSystem:
     matrix: scipy.sparse.csr_matrix
     coupling: scipy.sparse.csr_matrix  # the upwind face couplings of matrix
     block_shift: np.ndarray  # (n_elems, N_a, (p+1)^2): M - S_aa on each block's diagonal
+    s_coef: np.ndarray  # (n_elems, (p+1)^2): S = s_coef[e, n] * K in each node's block
+    kernel: np.ndarray  # (N_a, N_a): the angular scattering kernel K
     b: np.ndarray
     mesh: Mesh
     grid: AngularGrid
@@ -65,17 +81,20 @@ class DgSystem:
         return self.b.size
 
     def preconditioner(self) -> "UpwindSweep":
-        """The sweep that applies P^-1 (cached)."""
+        """The sweep with its element-mean correction (cached)."""
         if self._precond is None:
             self._precond = UpwindSweep(self)
         return self._precond
 
 
 class UpwindSweep:
-    """Exact inverse of the angle-block part P of a DgSystem, as one sweep.
+    """The preconditioner of a DgSystem: one sweep, then an element-mean correction.
 
-    L is the upwind face coupling (CSR); U holds the inverted (element,
-    angle) blocks as a block-diagonal matrix in sweep order.
+    `sweep` is the exact inverse of the angle-block part P, as one sweep; L
+    is the upwind face coupling (CSR) and U holds the inverted (element,
+    angle) blocks as a block-diagonal matrix in sweep order. `solve` adds
+    the Galerkin correction on the element means, factored in `coarse`, so
+    that every element's summed balance holds after it (module docstring).
     """
 
     def __init__(self, system: DgSystem):
@@ -98,8 +117,12 @@ class UpwindSweep:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             step_rows = rows[lo:hi].reshape(-1)
             self._steps.append((step_rows, self.L[step_rows], self.U.data[lo:hi]))
+        # what DOF (e, n, b) scatters into the other angles: s_coef[e, n] c_b
+        cross = system.kernel.sum(axis=0) - np.diag(system.kernel)
+        self._cross_scatter = (system.s_coef[:, :, None] * cross).reshape(mesh.n_elems, -1)
+        self.coarse = _factor_coarse(coarse_matrix(system))
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
+    def sweep(self, r: np.ndarray) -> np.ndarray:
         """P^-1 r: blocks of one wavefront step depend only on the step before."""
         r = np.ravel(r)
         x = np.zeros(r.size)
@@ -107,6 +130,44 @@ class UpwindSweep:
             rhs = r[rows] - upwind @ x
             x[rows] = np.matmul(inv, rhs.reshape(-1, self._n_sp, 1)).reshape(-1)
         return x
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """P^-1 r, then the element-mean correction A_c^-1 E^T (r - A P^-1 r) added per element."""
+        x = self.sweep(r)
+        per_elem = x.reshape(self._cross_scatter.shape)
+        rho = np.einsum("ek,ek->e", per_elem, self._cross_scatter)  # E^T S_off x
+        per_elem += self.coarse.solve(rho)[:, None]
+        return x
+
+
+def coarse_matrix(system: DgSystem) -> scipy.sparse.csr_matrix:
+    """A_c = E^T A E, E the indicator of each element's DOFs, from A's pieces.
+
+    The diagonal is 1^T (B - C) 1 of the element size, plus the block
+    shifts M - S_aa, minus the scattering between different angles; the
+    off-diagonal entries sum the upwind face couplings between two elements.
+    """
+    n_el = system.mesh.n_elems
+    n_vol = system.n_dofs // n_el
+    kernel = system.kernel
+    base = reference_kernels(system.p, system.grid).transport_base(system.mesh.hx,
+                                                                   system.mesh.hy)
+    diag = (base.sum() + system.block_shift.reshape(n_el, -1).sum(axis=1)
+            - system.s_coef.sum(axis=1) * (kernel.sum() - np.trace(kernel)))
+    # element e's rows are rows e * n_vol ... (e + 1) * n_vol - 1 of coupling
+    c = system.coupling
+    faces = scipy.sparse.csr_matrix((c.data, c.indices // n_vol, c.indptr[::n_vol]),
+                                    shape=(n_el, n_el), copy=True)
+    faces.sum_duplicates()  # in place: the copy keeps coupling's own arrays intact
+    return (faces + scipy.sparse.diags(diag)).tocsr()
+
+
+def _factor_coarse(a_c: scipy.sparse.csr_matrix):
+    """splu of the coarse matrix; an exactly singular one is a SolverFailure."""
+    try:
+        return scipy.sparse.linalg.splu(a_c.tocsc())
+    except RuntimeError as err:  # "Factor is exactly singular"
+        raise SolverFailure(f"singular DG coarse matrix: {err}") from None
 
 
 def sweep_blocks(system: DgSystem, ids: np.ndarray) -> np.ndarray:
@@ -226,8 +287,8 @@ def assemble_dg(mesh: Mesh, grid: AngularGrid, kernel: PhaseKernel,
         g_in = project_boundary(g, index).values[index.elem_inflow[:, by_row]]
         np.add.at(b_vec, in_rows[~inner], -(bhat * g_in)[~inner])  # corners: two slots
 
-    return DgSystem(matrix=balances + coupling, coupling=coupling,
-                    block_shift=block_shift, b=b_vec, mesh=mesh, grid=grid, p=p)
+    return DgSystem(matrix=balances + coupling, coupling=coupling, block_shift=block_shift,
+                    s_coef=s_coef, kernel=kernel.kernel, b=b_vec, mesh=mesh, grid=grid, p=p)
 
 
 def _row_pointer(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -238,8 +299,9 @@ def _row_pointer(rows: np.ndarray, n_rows: int) -> np.ndarray:
 def solve_dg(system: DgSystem, tol: float = 1e-4, restart: int = GMRES_RESTART):
     """GMRES on the monolithic system; returns (u, SolveInfo).
 
-    Right-preconditioned by the system's UpwindSweep through
-    `hybrid.sweep_gmres`, so the history is the true ||b - A u|| / ||b||.
+    Right-preconditioned by the system's UpwindSweep (the sweep and its
+    element-mean correction) through `hybrid.sweep_gmres`, so the history is
+    the true ||b - A u|| / ||b||.
     """
     return sweep_gmres(system.matrix.dot, system.preconditioner(), system.b, tol, restart, "DG")
 

@@ -32,8 +32,8 @@ from .mesh import Mesh, SkeletonIndex, element_node_coords, wavefront_steps
 from .pool import element_bounds, run_blocks
 
 #: scipy allocates the (restart + 1) x n Krylov basis up front, and its
-#: Gram-Schmidt step is a Python loop over the cycle so far: thick DG's
-#: ~200 iterations ran faster in two cycles of 100 than in one of 200
+#: Gram-Schmidt step is a Python loop over the cycle so far. One cycle holds
+#: every perfbench solve: the longest, thick DG, takes about 60 iterations
 GMRES_RESTART = 100
 #: a restart cycle that lowers the residual by less than this fraction has
 #: stalled: the next cycle rebuilds nearly the same Krylov space

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,8 +114,40 @@ def test_sweep_is_exact_inverse_of_angle_blocks(nx, ny, p, na, seed):
     p_dense = system.matrix.toarray() * (ang[:, None] == ang[None, :])
     r = rng.standard_normal(system.n_dofs)
     x_ref = np.linalg.solve(p_dense, r)
-    x = system.preconditioner().solve(r)
+    x = system.preconditioner().sweep(r)
     assert np.abs(x - x_ref).max() < 1e-12 * np.abs(x_ref).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4), p=st.integers(1, 3),
+       na=st.sampled_from([4, 8]), seed=st.integers(0, 2 ** 32 - 1),
+       conservative=st.booleans())
+def test_coarse_correction_balances_every_element(nx, ny, p, na, seed, conservative):
+    # rectangular elements, albedo below 1 or (conservative) exactly 1: after
+    # the correction every element's summed balance holds, and the coarse
+    # matrix built from A's pieces is E^T A E
+    rng = np.random.default_rng(seed)
+    grid = build_angular_grid(na)
+    kernel = scattering_kernel_matrix(grid, rng.uniform(0, 0.9))
+    mesh = build_mesh(rng.uniform(0.5, 3) * nx, rng.uniform(0.5, 3) * ny, nx, ny)
+    sigmas = random_sigmas(rng, nx * ny, p, 20.0)
+    if conservative:
+        sigmas = [SigmaField(sig.sigma_e, sig.sigma_e) for sig in sigmas]
+    system = dgm.assemble_dg(mesh, grid, kernel, sigmas, p)
+    n_el, n_vol = mesh.n_elems, system.n_dofs // mesh.n_elems
+    a_c = system.matrix.toarray().reshape(n_el, n_vol, n_el, n_vol).sum(axis=(1, 3))
+    built = dgm.coarse_matrix(system)
+    assert np.abs(built.toarray() - a_c).max() <= 1e-12 * np.abs(a_c).max()
+    assert np.diff(built.indptr).max() <= 5
+    r = rng.standard_normal(system.n_dofs)
+    x = system.preconditioner().solve(r)
+    balance = (r - system.matrix @ x).reshape(n_el, n_vol).sum(axis=1)
+    assert np.abs(balance).max() <= 1e-12 * np.linalg.norm(r.reshape(n_el, n_vol).sum(axis=1))
+
+
+def test_singular_coarse_matrix_is_solver_failure():
+    with pytest.raises(SolverFailure, match="coarse"):
+        dgm._factor_coarse(scipy.sparse.csr_matrix((3, 3)))
 
 
 def test_sweep_blocks_are_local_angle_blocks():
